@@ -8,7 +8,7 @@ GO ?= go
 BENCHTIME ?= 1x
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: build test race vet fmt-check staticcheck vulncheck bench bench-json bench-compare quickstart serve loadtest crashtest fuzz ci
+.PHONY: build test race vet fmt-check staticcheck vulncheck bench bench-json bench-compare perfbench-test quickstart serve loadtest crashtest fuzz ci
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,11 @@ bench-compare:
 	@test -f BENCH_$(BENCH_DATE).json || $(MAKE) bench-json
 	$(GO) run ./cmd/benchjson -compare $(BASELINE) BENCH_$(BENCH_DATE).json
 
+# The repository benchmark (perfbench/) is its own Go module, so the root
+# `go test ./...` never reaches its self-tests; this target runs them.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 quickstart:
 	$(GO) run ./examples/quickstart
 
@@ -105,4 +110,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime $(FUZZTIME) ./internal/wal/
 
-ci: build test vet staticcheck vulncheck fmt-check crashtest bench-json quickstart loadtest
+ci: build test vet staticcheck vulncheck fmt-check crashtest bench-json perfbench-test quickstart loadtest

@@ -7,11 +7,21 @@
 //   - orders the body literals with the greedy bound-variables-first
 //     heuristic shared with the sip package (sip.GreedyOrder), forcing the
 //     delta occurrence to the front so the semi-naive join is driven from
-//     the new facts,
+//     the new facts; a variant with no delta occurrence (a component's
+//     first pass, or a naive round) starts at the first derived literal in
+//     textual order instead,
 //   - splits each literal's arguments into bound probe columns (value
 //     expressions evaluated against the relation's hash index) and free
 //     columns (pattern programs that bind or test registers), and
 //   - lowers the head into build-mode value expressions.
+//
+// Starting a first pass at a derived literal is what keeps a rewritten
+// program goal-directed. No variable is bound yet, so the greedy tie-break
+// alone would pick a base literal and scan the whole EDB relation; the
+// magic, supplementary and counting rewritings put their guard literal
+// (magic_p, sup_r_i, cnt_p) first among the derived ones, so the pass is
+// driven from the few facts relevant to the query and probes the base
+// relations through their indexes.
 //
 // Boundness is fully static: a variable is bound exactly when an earlier
 // literal in the chosen order (or an earlier argument of the same literal)
@@ -39,6 +49,18 @@ func bodyHasArith(r ast.Rule) bool {
 		}
 	}
 	return false
+}
+
+// firstDerived returns the position of the first derived body literal in
+// textual order, or -1 if the body has none. The magic, supplementary and
+// counting rewritings put their guard literal there.
+func firstDerived(r ast.Rule, derived map[string]bool) int {
+	for i, lit := range r.Body {
+		if derived[lit.PredKey()] {
+			return i
+		}
+	}
+	return -1
 }
 
 // compiler carries the per-rule compilation state.
@@ -80,7 +102,11 @@ func compileRule(pp *Prepared, ruleIdx, deltaPos int) *pipeline {
 			order[i] = i
 		}
 	} else {
-		order = sip.GreedyOrder(r.Body, nil, pp.derived, deltaPos)
+		first := deltaPos
+		if first < 0 {
+			first = firstDerived(r, pp.derived)
+		}
+		order = sip.GreedyOrder(r.Body, nil, pp.derived, first)
 	}
 
 	c := &compiler{tab: pp.tab, regs: make(map[string]int), bound: make(map[string]bool)}

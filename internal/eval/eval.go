@@ -76,6 +76,8 @@ type Options struct {
 	// independent strongly connected components run concurrently, and large
 	// delta rounds within a recursive component are hash-partitioned across
 	// workers. 0 means GOMAXPROCS; 1 runs the exact sequential algorithm.
+	// A plan whose components form a chain runs its components on the
+	// calling goroutine; only its partitioned rounds use more workers.
 	// The naive evaluator and the term-space reference evaluator are always
 	// sequential regardless of this setting. Parallel evaluation derives the
 	// same store as sequential evaluation; under MaxFacts/MaxDerivations the
@@ -126,8 +128,9 @@ type Stats struct {
 	// to JoinProbes but never to IndexHits, and the two coincide only when
 	// every literal evaluation is index-driven).
 	JoinProbes int64
-	// RuleFirings counts successful instantiations per rule index.
-	RuleFirings map[int]int64
+	// RuleFirings counts successful instantiations per rule index; it has
+	// one entry per rule of the evaluated program.
+	RuleFirings []int64
 	// FactsByPredicate counts the distinct derived facts per predicate key.
 	FactsByPredicate map[string]int
 	// Strata is the number of strongly connected components of the
@@ -183,9 +186,6 @@ type Stats struct {
 
 // addFiring records a successful rule instantiation.
 func (s *Stats) addFiring(rule int) {
-	if s.RuleFirings == nil {
-		s.RuleFirings = make(map[int]int64)
-	}
 	s.RuleFirings[rule]++
 	s.Derivations++
 }
@@ -204,9 +204,6 @@ func (s *Stats) merge(w *Stats) {
 	s.NewFacts += w.NewFacts
 	s.JoinProbes += w.JoinProbes
 	for rule, n := range w.RuleFirings {
-		if s.RuleFirings == nil {
-			s.RuleFirings = make(map[int]int64)
-		}
 		s.RuleFirings[rule] += n
 	}
 	s.DeltaRuleEvals += w.DeltaRuleEvals
@@ -391,7 +388,7 @@ func (ctx *evalContext) fork(pr *parRun) *evalContext {
 	w.bound = make(map[variantKey]*runPipe)
 	w.stats = &Stats{
 		Strategy:    ctx.stats.Strategy,
-		RuleFirings: make(map[int]int64),
+		RuleFirings: make([]int64, len(ctx.program.Rules)),
 	}
 	w.extraStores = nil
 	w.par = pr
@@ -418,7 +415,7 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 		bound:   make(map[variantKey]*runPipe),
 		stats: &Stats{
 			Strategy:         name,
-			RuleFirings:      make(map[int]int64),
+			RuleFirings:      make([]int64, len(pp.program.Rules)),
 			FactsByPredicate: make(map[string]int),
 		},
 	}

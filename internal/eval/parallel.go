@@ -9,7 +9,9 @@
 // relation map is never written during evaluation), a component's rules read
 // only its own relations, relations of completed components, and the frozen
 // base — so no relation is ever read and written by different goroutines at
-// the same time.
+// the same time. The calling goroutine is one of the level-1 workers; when
+// the plan is a chain (every component depends on its predecessor) only one
+// component is ever ready, and it is the only one.
 //
 // Level 2 (intra-round): a large delta round of a recursive component is
 // hash-partitioned across K shards. Each shard scatters its slice of the
@@ -453,6 +455,20 @@ func foldInto(dst *database.Store, srcs []*database.Store) error {
 	return nil
 }
 
+// isChain reports whether every component of the plan depends on the one
+// before it in evaluation order. Exactly then the scheduler can never have
+// two components ready at once: a component whose Deps skip its
+// predecessor becomes ready together with that predecessor.
+func isChain(plan *depgraph.Plan) bool {
+	for ci := 1; ci < len(plan.Components); ci++ {
+		deps := plan.Deps[ci]
+		if len(deps) == 0 || deps[len(deps)-1] != ci-1 {
+			return false
+		}
+	}
+	return true
+}
+
 // evaluateParallel is the parallel counterpart of the sequential loop in
 // EvaluateCtx: the same per-component semantics, scheduled over a bounded
 // worker pool. It is only entered with parallelism > 1 and a StopEarly
@@ -491,26 +507,33 @@ func (pp *Prepared) evaluateParallel(c context.Context, edb *database.Store, see
 		}
 	}
 
-	workers := p
-	if workers > n {
-		workers = n
+	work := func() {
+		wk := pr.newWorker()
+		for ci := range pr.ready {
+			err := wk.runComponent(ci)
+			if errors.Is(err, errStopParallel) {
+				err = nil
+			}
+			pr.complete(ci, err)
+		}
+		pr.collect(wk)
 	}
+	workers := min(p, n)
+	if isChain(plan) {
+		// At most one component is ever ready, so one level-1 worker does
+		// all the work. Its partitioned rounds still use p shards.
+		workers = 1
+	}
+	// The calling goroutine is one of the workers.
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 1; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := pr.newWorker()
-			for ci := range pr.ready {
-				err := wk.runComponent(ci)
-				if errors.Is(err, errStopParallel) {
-					err = nil
-				}
-				pr.complete(ci, err)
-			}
-			pr.collect(wk)
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 
 	// Final global limit check: per-worker counters below the limit can sum

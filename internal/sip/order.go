@@ -66,8 +66,10 @@ func greedyPick(body []ast.Atom, used []bool, available map[string]bool, derived
 // by the variables available so far (ground arguments count as covered),
 // preferring base literals and, among equals, the textual order. If first is
 // a valid body position, that literal is forced to the front of the order —
-// the semi-naive evaluator uses this to drive a join from the delta
-// occurrence. The bound map is not modified.
+// the join compiler of internal/eval uses this to drive a semi-naive join
+// from the delta occurrence, and a first pass from the first derived
+// literal (a rewriting's magic or supplementary guard). The bound map is not
+// modified.
 func GreedyOrder(body []ast.Atom, bound map[string]bool, derived map[string]bool, first int) []int {
 	available := make(map[string]bool, len(bound))
 	for v := range bound {
