@@ -8,7 +8,7 @@ GO ?= go
 BENCHTIME ?= 1x
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: build test race vet fmt-check staticcheck vulncheck bench bench-json bench-compare perfbench-test quickstart serve loadtest crashtest fuzz ci
+.PHONY: build test race vet fmt-check staticcheck vulncheck bench bench-json bench-compare perfbench-test perfbench-smoke quickstart serve loadtest crashtest fuzz ci
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,15 @@ bench-compare:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# One short end-to-end run of every benchmark workload. The benchmark checks
+# every answer against its oracle and exits 1 on a mismatch, so this is a
+# correctness gate for the whole serving path, not a timing. 5 s, not 1:
+# durable-write sends only a fifth of its requests as queries and exits 1
+# when a run (extended to at most 3x its length) collects fewer than the
+# 1000 query samples its p99 needs; at 1 s a 2-vCPU host collects ~550.
+perfbench-smoke:
+	bash perfbench/run.sh --workload all --seconds 5 --trace 0
+
 quickstart:
 	$(GO) run ./examples/quickstart
 
@@ -110,4 +119,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime $(FUZZTIME) ./internal/wal/
 
-ci: build test vet staticcheck vulncheck fmt-check crashtest bench-json perfbench-test quickstart loadtest
+ci: build test vet staticcheck vulncheck fmt-check crashtest bench-json perfbench-test perfbench-smoke quickstart loadtest

@@ -612,6 +612,9 @@ func (pq *PreparedQuery) runRewritten(ctx context.Context, bound []ast.Term, opt
 			res.Stats.AuxFacts += store.FactCount(key)
 		}
 		rows = pq.answerRows(store, pq.form.rewriting.AnswerPred, pattern, opts.FirstN)
+		// Everything this call reports has been copied out of the overlay,
+		// so the next run of the form may reuse its relations.
+		pq.form.prepared.Release(store)
 	}
 	if evalErr != nil {
 		return res, rows, wrapLimit(evalErr)

@@ -15,7 +15,12 @@
 // only when a caller reads tuples back out (answers, display, golden tests);
 // rows inserted and joined purely at the ID level never allocate terms. Each
 // index covers one set of columns (a bound-column pattern) and is maintained
-// incrementally on insert once built.
+// incrementally on insert once built. An index is a table of position
+// chains (see Index): positions ascend along every chain, so an evaluator
+// reading only a prefix of the rows — the rows that existed before its
+// current round — stops a probe at the prefix's end. Rows derived in one
+// evaluation are copied into per-relation slabs rather than allocated one by
+// one.
 //
 // Every Store owns its own intern.Table (shared with its clones and
 // siblings), so a long-lived process evaluating many independent programs
@@ -26,6 +31,8 @@ package database
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -112,13 +119,211 @@ func equalRows(a, b []intern.ID) bool {
 	return true
 }
 
-// colIndex is a hash index on one set of columns: projection hash -> tuple
-// positions. Buckets may contain hash collisions; Lookup verifies candidates
-// against the probe IDs before returning them.
-type colIndex struct {
-	cols    []int // sorted column positions
-	buckets map[uint64][]int
+// Index is a hash index on one set of columns, kept as position chains: an
+// open-addressing table maps each projection hash to the first and last row
+// position with that hash, and next links every row to the following
+// position with the same hash (-1 ends a chain). A new row joins its chain
+// at the tail and swapDelete re-links a moved row in order, so positions
+// ascend along every chain: a reader bounded by a row watermark (the
+// semi-naive evaluator reading a round's old rows) stops at the first
+// position past it. Projections whose 64-bit hashes collide share a chain;
+// readers verify candidates against the probe IDs.
+type Index struct {
+	cols  []int     // sorted column positions
+	slots []idxSlot // power-of-two length
+	used  int       // slots with a nonzero hash
+	shift uint      // 64 - log2(len(slots)): the high hash bits pick the slot
+	next  []int32   // per row position
 }
+
+// idxSlot is one table entry: a projection hash (0 marks a slot never used)
+// and the ends of its chain (-1 once every row of the chain was deleted; the
+// slot keeps its hash until the next rehash drops it, so linear probing
+// needs no tombstones).
+type idxSlot struct {
+	hash       uint64
+	head, tail int32
+}
+
+// minIndexSlots is the smallest table size of an index.
+const minIndexSlots = 16
+
+func newIndex(cols []int, rows [][]intern.ID) *Index {
+	idx := &Index{cols: append([]int(nil), cols...), next: make([]int32, 0, len(rows))}
+	idx.resize(minIndexSlots)
+	for pos, row := range rows {
+		idx.add(int32(pos), row)
+	}
+	return idx
+}
+
+// spread mixes a row or projection hash so that its high bits depend on
+// every input bit (Fibonacci hashing). The FNV-style fold alone leaves the
+// high bits nearly constant for the small, sequentially interned IDs of a
+// typical relation, and the index table selects slots by high bits.
+func spread(h uint64) uint64 { return h * 0x9E3779B97F4A7C15 }
+
+// slotHash maps a projection hash to the nonzero value the table stores.
+func slotHash(h uint64) uint64 {
+	if h == 0 {
+		return 1
+	}
+	return h
+}
+
+// resize rehashes the table into n slots (a power of two), dropping the
+// slots whose chains deletions emptied. Chains are untouched: only their
+// (hash, head, tail) entries move.
+func (idx *Index) resize(n int) {
+	old := idx.slots
+	idx.slots = make([]idxSlot, n)
+	idx.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	idx.used = 0
+	for _, s := range old {
+		if s.hash != 0 && s.head >= 0 {
+			*idx.claim(s.hash) = s
+		}
+	}
+}
+
+// find returns the slot holding hash h, or nil.
+func (idx *Index) find(h uint64) *idxSlot {
+	mask := uint64(len(idx.slots) - 1)
+	for i := spread(h) >> idx.shift; ; i = (i + 1) & mask {
+		s := &idx.slots[i]
+		if s.hash == h {
+			return s
+		}
+		if s.hash == 0 {
+			return nil
+		}
+	}
+}
+
+// claim returns the slot for hash h, taking an unused one (with an empty
+// chain) if h is new. The caller has ensured a free slot exists.
+func (idx *Index) claim(h uint64) *idxSlot {
+	mask := uint64(len(idx.slots) - 1)
+	for i := spread(h) >> idx.shift; ; i = (i + 1) & mask {
+		s := &idx.slots[i]
+		if s.hash == h {
+			return s
+		}
+		if s.hash == 0 {
+			*s = idxSlot{hash: h, head: -1, tail: -1}
+			idx.used++
+			return s
+		}
+	}
+}
+
+// slotFor is claim with the table rehashed first when it is half full: into
+// a table at most a quarter full with the slots still holding a chain, so
+// slots emptied by deletions do not accumulate in a relation whose rows
+// churn.
+func (idx *Index) slotFor(h uint64) *idxSlot {
+	if s := idx.find(h); s != nil {
+		return s
+	}
+	if 2*(idx.used+1) > len(idx.slots) {
+		live := 0
+		for _, s := range idx.slots {
+			if s.hash != 0 && s.head >= 0 {
+				live++
+			}
+		}
+		n := minIndexSlots
+		for n < 4*(live+1) {
+			n *= 2
+		}
+		idx.resize(n)
+	}
+	return idx.claim(h)
+}
+
+// add appends position pos (the relation's new last row) to the tail of
+// its chain.
+func (idx *Index) add(pos int32, row []intern.ID) {
+	s := idx.slotFor(slotHash(hashProjection(row, idx.cols)))
+	idx.next = append(grow(idx.next), -1)
+	if s.head < 0 {
+		s.head = pos
+	} else {
+		idx.next[s.tail] = pos
+	}
+	s.tail = pos
+}
+
+// unlink removes position pos, holding row, from its chain.
+func (idx *Index) unlink(pos int32, row []intern.ID) {
+	s := idx.find(slotHash(hashProjection(row, idx.cols)))
+	if s == nil {
+		return
+	}
+	prev := int32(-1)
+	for p := s.head; p >= 0 && p != pos; p = idx.next[p] {
+		prev = p
+	}
+	if prev < 0 {
+		s.head = idx.next[pos]
+	} else {
+		idx.next[prev] = idx.next[pos]
+	}
+	if s.tail == pos {
+		s.tail = prev
+	}
+}
+
+// link inserts position pos, holding row, into its chain in ascending
+// position order.
+func (idx *Index) link(pos int32, row []intern.ID) {
+	s := idx.slotFor(slotHash(hashProjection(row, idx.cols)))
+	prev, p := int32(-1), s.head
+	for p >= 0 && p < pos {
+		prev, p = p, idx.next[p]
+	}
+	idx.next[pos] = p
+	if prev < 0 {
+		s.head = pos
+	} else {
+		idx.next[prev] = pos
+	}
+	if p < 0 {
+		s.tail = pos
+	}
+}
+
+// reset empties the index, keeping its storage.
+func (idx *Index) reset() {
+	clear(idx.slots)
+	idx.used = 0
+	idx.next = idx.next[:0]
+}
+
+func (idx *Index) clone() *Index {
+	return &Index{
+		cols:  idx.cols,
+		slots: slices.Clone(idx.slots),
+		used:  idx.used,
+		shift: idx.shift,
+		next:  withRoom(idx.next),
+	}
+}
+
+// First returns the first (lowest) row position whose projection on the
+// index columns hashes like ids, or -1. ids holds one ID per index column,
+// in column order. Candidates must be verified against ids: colliding
+// projections share a chain.
+func (idx *Index) First(ids []intern.ID) int {
+	if s := idx.find(slotHash(hashRow(ids))); s != nil {
+		return int(s.head)
+	}
+	return -1
+}
+
+// Next returns the position following pos on its chain, or -1; it is
+// always greater than pos.
+func (idx *Index) Next(pos int) int { return int(idx.next[pos]) }
 
 // Relation is a set of ground tuples of fixed arity with optional hash
 // indexes on subsets of columns. Tuples are appended in insertion order and
@@ -135,11 +340,13 @@ type Relation struct {
 	// tab is the symbol table the relation's rows are interned in.
 	tab *intern.Table
 
-	// tuples caches materialized term tuples, parallel to rows; a nil entry
-	// means the tuple has not been read back as terms yet. lazy counts the
-	// nil entries, so the eager-materialization sweep the maintenance layer
-	// runs per commit (MaterializeTuples) can stop as soon as every pending
-	// tuple is built instead of scanning the whole relation.
+	// tuples caches materialized term tuples, parallel to a prefix of rows:
+	// a row past its end, or with a nil entry, has not been read back as
+	// terms yet, so relations filled only with ID rows never grow it. lazy
+	// counts the rows without a tuple, so the eager-materialization sweep
+	// the maintenance layer runs per commit (MaterializeTuples) can stop as
+	// soon as every pending tuple is built instead of scanning the whole
+	// relation.
 	tuples []Tuple
 	lazy   int
 	rows   [][]intern.ID
@@ -153,6 +360,11 @@ type Relation struct {
 	// a relation holds fewer than 2^31 rows.
 	seen  map[uint64]int32
 	chain []int32
+	// slab is the block InsertRow copies new rows into, so a derived row
+	// costs no allocation of its own; rows are capped sub-slices, immutable
+	// once appended. Reset drops the slab instead of reusing it: callers
+	// may still hold rows read out of the relation.
+	slab []intern.ID
 	// indexes maps a column bitmask to the hash index on those columns. It is
 	// reached through an atomic pointer so that concurrent read-only users of
 	// a shared relation (evaluations running against overlay stores of the
@@ -162,12 +374,8 @@ type Relation struct {
 	// ever performed by a single writer with no concurrent readers (private
 	// relations of one evaluation, or the engine store under its write
 	// lock).
-	indexes atomic.Pointer[map[uint64]*colIndex]
+	indexes atomic.Pointer[map[uint64]*Index]
 	buildMu sync.Mutex
-
-	// probes counts indexed lookups, hits the tuples they returned. Atomic
-	// because concurrent evaluations probe shared base relations.
-	probes, hits atomic.Int64
 
 	// counts, when non-nil, holds one derivation count per row (parallel to
 	// rows): the number of distinct rule-body instantiations currently
@@ -226,9 +434,7 @@ func (r *Relation) Tuples() []Tuple {
 		if r.lazy == 0 {
 			break
 		}
-		if r.tuples[pos] == nil {
-			r.materialize(pos)
-		}
+		r.Tuple(pos)
 	}
 	return r.tuples
 }
@@ -241,9 +447,45 @@ func (r *Relation) materialize(pos int) Tuple {
 	for i, id := range row {
 		t[i] = r.tab.Term(id)
 	}
+	r.fillTuples()
 	r.tuples[pos] = t
 	r.lazy--
 	return t
+}
+
+// fillTuples extends the tuple cache with nil entries to cover every row.
+func (r *Relation) fillTuples() {
+	if n := len(r.rows) - len(r.tuples); n > 0 {
+		r.tuples = append(r.tuples, make([]Tuple, n)...)
+	}
+}
+
+// cachedTuple returns the materialized tuple at pos, or nil.
+func (r *Relation) cachedTuple(pos int) Tuple {
+	if pos < len(r.tuples) {
+		return r.tuples[pos]
+	}
+	return nil
+}
+
+// withRoom copies s into a slice with room for a few more elements: a
+// cloned relation is usually a pinned one about to take a commit's inserts,
+// which would otherwise re-allocate every column at once.
+func withRoom[T any](s []T) []T {
+	return append(make([]T, 0, len(s)+len(s)/8+8), s...)
+}
+
+// grow returns s with room for one more element, doubling its capacity
+// when it is full: append's growth factor falls to 1.25 for large slices,
+// which would re-allocate and copy a relation's columns several times more
+// often.
+func grow[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	n := make([]T, len(s), max(2*len(s), 8))
+	copy(n, s)
+	return n
 }
 
 // findRowHash returns the position of the row equal to the given IDs under
@@ -319,6 +561,7 @@ func (r *Relation) appendRow(row []intern.ID, t Tuple, h uint64) {
 		t = Tuple{}
 	}
 	pos := int32(len(r.rows))
+	r.chain = grow(r.chain)
 	if prev, ok := r.seen[h]; ok {
 		r.chain = append(r.chain, prev)
 	} else {
@@ -327,18 +570,34 @@ func (r *Relation) appendRow(row []intern.ID, t Tuple, h uint64) {
 	r.seen[h] = pos
 	if t == nil {
 		r.lazy++
+	} else {
+		r.fillTuples()
+		r.tuples = append(r.tuples, t)
 	}
-	r.tuples = append(r.tuples, t)
-	r.rows = append(r.rows, row)
+	r.rows = append(grow(r.rows), row)
 	if r.counts != nil {
-		r.counts = append(r.counts, 1)
+		r.counts = append(grow(r.counts), 1)
 	}
 	if m := r.indexes.Load(); m != nil {
 		for _, idx := range *m {
-			k := hashProjection(row, idx.cols)
-			idx.buckets[k] = append(idx.buckets[k], int(pos))
+			idx.add(pos, row)
 		}
 	}
+}
+
+// copyRow copies a row into the relation's slab, starting a new block (as
+// large as the relation, within bounds) when the current one is full.
+func (r *Relation) copyRow(row []intern.ID) []intern.ID {
+	n := len(row)
+	if n == 0 {
+		return nil
+	}
+	if len(r.slab)+n > cap(r.slab) {
+		r.slab = make([]intern.ID, 0, n*min(max(len(r.rows), 8), 256))
+	}
+	start := len(r.slab)
+	r.slab = append(r.slab, row...)
+	return r.slab[start : start+n : start+n]
 }
 
 // InsertRow adds a tuple given as an ID row interned in the relation's
@@ -353,49 +612,13 @@ func (r *Relation) InsertRow(row []intern.ID) (bool, error) {
 	if r.findRowHash(h, row) >= 0 {
 		return false, nil
 	}
-	r.appendRow(append([]intern.ID(nil), row...), nil, h)
+	r.appendRow(r.copyRow(row), nil, h)
 	return true, nil
 }
 
 // Row returns the ID row at the given position. The returned slice is owned
 // by the relation and must not be modified.
 func (r *Relation) Row(pos int) []intern.ID { return r.rows[pos] }
-
-// ScatterShard appends to dst the source rows whose full-row hash falls into
-// shard w of k, skipping rows dst already holds. The inner row slices are
-// shared with the source: rows are immutable once appended, and Reset only
-// truncates the outer slices, so sharing is safe for the shard lifecycle.
-// One call per shard runs concurrently — each call reads r but writes only
-// its own dst.
-func (r *Relation) ScatterShard(dst *Relation, w, k int) {
-	kk, ww := uint64(k), uint64(w)
-	for _, row := range r.rows {
-		h := hashRow(row)
-		if h%kk != ww {
-			continue
-		}
-		if dst.findRowHash(h, row) < 0 {
-			dst.appendRow(row, nil, h)
-		}
-	}
-}
-
-// MergeFrom appends every row of src that r does not already hold, sharing
-// the inner row slices, and returns the number of rows added. It is the
-// serial round-barrier merge path of the parallel evaluator: src is a
-// per-worker output shard whose rows were freshly allocated by InsertRow, so
-// no copy is needed.
-func (r *Relation) MergeFrom(src *Relation) int {
-	added := 0
-	for _, row := range src.rows {
-		h := hashRow(row)
-		if r.findRowHash(h, row) < 0 {
-			r.appendRow(row, nil, h)
-			added++
-		}
-	}
-	return added
-}
 
 // InsertBulk appends the pre-validated, pre-interned tuples of one batch
 // group: ids holds the concatenated ID rows (Arity entries per atom, in atom
@@ -520,10 +743,10 @@ func (r *Relation) deleteBulk(ts []Tuple, capture *Relation) int {
 // rows were removed. Small deletions (the incremental-maintenance steady
 // state: a handful of rows out of a large relation) are applied by swapping
 // the last row into each vacated slot, fixing the hash chains and index
-// buckets of just the two rows involved — O(k), independent of the relation
-// size. Mass deletions fall back to a single compaction pass with a hash
-// rebuild and an index drop, which is cheaper than k swap fixups once k is a
-// real fraction of the rows. Deletion does not preserve the insertion order
+// chains of just the two rows involved — k repairs, independent of the
+// relation size. Mass deletions fall back to a single compaction pass with a
+// hash rebuild and an index drop, which is cheaper than k swap fixups once k
+// is a real fraction of the rows. Deletion does not preserve the insertion order
 // of the survivors (the swap moves the last row into the gap).
 func (r *Relation) removeAt(remove []int, capture *Relation) int {
 	if len(remove) == 0 {
@@ -547,6 +770,7 @@ func (r *Relation) removeAt(remove []int, capture *Relation) int {
 		return len(remove)
 	}
 	out, k := 0, 0
+	r.fillTuples()
 	for pos := range r.rows {
 		if k < len(remove) && remove[k] == pos {
 			if r.tuples[pos] == nil {
@@ -573,19 +797,31 @@ func (r *Relation) removeAt(remove []int, capture *Relation) int {
 }
 
 // swapDelete removes the row at pos by moving the last row into its place,
-// repairing the duplicate-detection hash chains and every built index bucket
-// for exactly the two rows involved.
+// repairing the duplicate-detection hash chains and the chains of every
+// built index for exactly the two rows involved. The moved row is re-linked
+// at its new position's place in each index chain, so chains keep ascending.
 func (r *Relation) swapDelete(pos int) {
 	last := len(r.rows) - 1
+	r.fillTuples()
 	if r.tuples[pos] == nil {
 		r.lazy--
 	}
 	r.unlink(int32(pos), hashRow(r.rows[pos]))
-	r.indexDelete(pos)
+	var m map[uint64]*Index
+	if p := r.indexes.Load(); p != nil {
+		m = *p
+	}
+	for _, idx := range m {
+		idx.unlink(int32(pos), r.rows[pos])
+		if pos != last {
+			idx.unlink(int32(last), r.rows[last])
+			idx.link(int32(pos), r.rows[last])
+		}
+		idx.next = idx.next[:last]
+	}
 	if pos != last {
 		h := hashRow(r.rows[last])
 		r.unlink(int32(last), h)
-		r.indexMove(last, pos)
 		r.rows[pos] = r.rows[last]
 		r.tuples[pos] = r.tuples[last]
 		if r.counts != nil {
@@ -630,44 +866,6 @@ func (r *Relation) unlink(pos int32, h uint64) {
 	}
 }
 
-// indexDelete drops the row at pos from the bucket of every built index.
-func (r *Relation) indexDelete(pos int) {
-	m := r.indexes.Load()
-	if m == nil {
-		return
-	}
-	for _, idx := range *m {
-		k := hashProjection(r.rows[pos], idx.cols)
-		bucket := idx.buckets[k]
-		for i, p := range bucket {
-			if p == pos {
-				bucket[i] = bucket[len(bucket)-1]
-				idx.buckets[k] = bucket[:len(bucket)-1]
-				break
-			}
-		}
-	}
-}
-
-// indexMove rewrites the row's position from `from` to `to` in the bucket of
-// every built index, for the swap half of swapDelete.
-func (r *Relation) indexMove(from, to int) {
-	m := r.indexes.Load()
-	if m == nil {
-		return
-	}
-	for _, idx := range *m {
-		k := hashProjection(r.rows[from], idx.cols)
-		bucket := idx.buckets[k]
-		for i, p := range bucket {
-			if p == from {
-				bucket[i] = to
-				break
-			}
-		}
-	}
-}
-
 // rebuildSeen reconstructs the duplicate-detection hash chains from the
 // current rows, after a deletion shifted positions.
 func (r *Relation) rebuildSeen() {
@@ -707,10 +905,22 @@ func colMask(cols []int) (uint64, bool) {
 	return m, true
 }
 
+// Index returns the hash index on the given sorted columns, building it on
+// first use; nil when a column is beyond 63 (no workload reaches that; the
+// caller scans instead). Lock-free readers may call it concurrently on a
+// shared relation, like Lookup.
+func (r *Relation) Index(cols []int) *Index {
+	mask, ok := colMask(cols)
+	if !ok {
+		return nil
+	}
+	return r.ensureIndex(mask, cols)
+}
+
 // ensureIndex builds (or returns) the hash index on the given sorted columns.
 // Concurrent builders are serialized by buildMu and publish a fresh copy of
 // the index map, so lock-free readers always see fully built indexes.
-func (r *Relation) ensureIndex(mask uint64, cols []int) *colIndex {
+func (r *Relation) ensureIndex(mask uint64, cols []int) *Index {
 	if m := r.indexes.Load(); m != nil {
 		if idx, ok := (*m)[mask]; ok {
 			return idx
@@ -724,12 +934,8 @@ func (r *Relation) ensureIndex(mask uint64, cols []int) *colIndex {
 			return idx
 		}
 	}
-	idx := &colIndex{cols: append([]int(nil), cols...), buckets: make(map[uint64][]int)}
-	for pos, row := range r.rows {
-		k := hashProjection(row, idx.cols)
-		idx.buckets[k] = append(idx.buckets[k], pos)
-	}
-	next := make(map[uint64]*colIndex, 1)
+	idx := newIndex(cols, r.rows)
+	next := make(map[uint64]*Index, 1)
 	if old != nil {
 		for k, v := range *old {
 			next[k] = v
@@ -778,7 +984,7 @@ func (r *Relation) Lookup(cols []int, values []ast.Term) []int {
 		}
 		ids = sortedIDs
 	}
-	return r.LookupIDs(sortedCols, ids)
+	return r.lookupIDs(sortedCols, ids)
 }
 
 func (r *Relation) allPositions() []int {
@@ -789,19 +995,13 @@ func (r *Relation) allPositions() []int {
 	return out
 }
 
-// LookupIDs returns the positions of rows whose IDs at the given columns
-// equal the given IDs. cols must be sorted ascending; with no columns it
-// returns all row positions. It is the ID-level probe the compiled join
-// pipelines use: no terms are resolved or materialized. The returned slice
-// may alias index internals and must not be modified.
-func (r *Relation) LookupIDs(cols []int, ids []intern.ID) []int {
-	if len(cols) == 0 {
-		return r.allPositions()
-	}
-	mask, ok := colMask(cols)
-	if !ok {
+// lookupIDs returns, in ascending order, the positions of rows whose IDs at
+// the given sorted columns equal the given IDs.
+func (r *Relation) lookupIDs(cols []int, ids []intern.ID) []int {
+	var out []int
+	idx := r.Index(cols)
+	if idx == nil {
 		// Degenerate wide relation: filter by scan.
-		var out []int
 		for pos, row := range r.rows {
 			if rowMatches(row, cols, ids) {
 				out = append(out, pos)
@@ -809,31 +1009,22 @@ func (r *Relation) LookupIDs(cols []int, ids []intern.ID) []int {
 		}
 		return out
 	}
-
-	idx := r.ensureIndex(mask, cols)
-	bucket := idx.buckets[hashRow(ids)]
-	r.probes.Add(1)
-
-	// Verify the candidates: the bucket may contain hash collisions. In the
-	// common collision-free case the bucket is returned as is.
-	clean := true
-	for _, pos := range bucket {
-		if !rowMatches(r.rows[pos], cols, ids) {
-			clean = false
-			break
+	// Two walks of the chain, the second in cache, size the result exactly.
+	n := 0
+	for pos := idx.First(ids); pos >= 0; pos = idx.Next(pos) {
+		if rowMatches(r.rows[pos], cols, ids) {
+			n++
 		}
 	}
-	if clean {
-		r.hits.Add(int64(len(bucket)))
-		return bucket
+	if n == 0 {
+		return nil
 	}
-	var out []int
-	for _, pos := range bucket {
+	out = make([]int, 0, n)
+	for pos := idx.First(ids); pos >= 0; pos = idx.Next(pos) {
 		if rowMatches(r.rows[pos], cols, ids) {
 			out = append(out, pos)
 		}
 	}
-	r.hits.Add(int64(len(out)))
 	return out
 }
 
@@ -846,29 +1037,28 @@ func rowMatches(row []intern.ID, cols []int, ids []intern.ID) bool {
 	return true
 }
 
-// IndexStats returns the number of indexed lookups performed on this
-// relation and the total number of tuples those lookups returned.
-func (r *Relation) IndexStats() (probes, hits int64) { return r.probes.Load(), r.hits.Load() }
-
 // Tuple returns the tuple at the given position, materializing it from the
 // ID row on first access. The materialization is cached, so like Tuples
 // this is a mutating read: not safe for concurrent use with any other
 // access to the relation.
 func (r *Relation) Tuple(pos int) Tuple {
-	if t := r.tuples[pos]; t != nil {
+	if t := r.cachedTuple(pos); t != nil {
 		return t
 	}
 	return r.materialize(pos)
 }
 
 // Reset empties the relation in place for reuse, keeping the allocated
-// backing storage, the index definitions and the probe/hit counters. The
-// semi-naive evaluator resets its two per-component delta stores instead of
-// allocating fresh ones every round.
+// backing storage and the index definitions. Partitioned evaluation rounds
+// reset their per-shard output relations this way, and Store.Rebase the
+// relations of a reused evaluation overlay.
 func (r *Relation) Reset() {
+	clear(r.tuples)
 	r.tuples = r.tuples[:0]
 	r.lazy = 0
+	clear(r.rows)
 	r.rows = r.rows[:0]
+	r.slab = nil
 	r.chain = r.chain[:0]
 	if r.counts != nil {
 		r.counts = r.counts[:0]
@@ -876,20 +1066,17 @@ func (r *Relation) Reset() {
 	clear(r.seen)
 	if m := r.indexes.Load(); m != nil {
 		for _, idx := range *m {
-			for k := range idx.buckets {
-				delete(idx.buckets, k)
-			}
+			idx.reset()
 		}
 	}
 }
 
 // Clone returns a deep copy of the relation contents, including its lazily
-// built column indexes (stats counters are not copied; the clone starts
-// unshared). Copying the indexes matters for the snapshot copy-on-write
-// path: a commit that clones a pinned relation must not cost the next live
-// query an O(rows) index rebuild per bound-column pattern. Index buckets
-// are deep-copied — Lookup hands out bucket slices that must not be shared
-// between a relation and its clone, since inserts append to them. The clone
+// built column indexes (the clone starts unshared). Copying the indexes
+// matters for the snapshot copy-on-write path: a commit that clones a pinned
+// relation must not cost the next live query an O(rows) index rebuild per
+// bound-column pattern. Index tables and chains are deep-copied, since
+// inserts and deletions update them in place. The clone
 // shares the original's symbol table, so ID rows remain comparable across
 // the copies. Cloning a pinned (shared) relation concurrently with snapshot
 // readers is safe: readers never mutate published index contents (new
@@ -897,28 +1084,18 @@ func (r *Relation) Reset() {
 // immutable by the COW contract.
 func (r *Relation) Clone() *Relation {
 	c := NewRelationWith(r.tab, r.Name, r.Arity)
-	c.tuples = append([]Tuple(nil), r.tuples...)
+	c.tuples = withRoom(r.tuples)
 	c.lazy = r.lazy
-	c.rows = append([][]intern.ID(nil), r.rows...)
-	c.chain = append([]int32(nil), r.chain...)
+	c.rows = withRoom(r.rows)
+	c.chain = withRoom(r.chain)
 	if r.counts != nil {
-		c.counts = append([]int32(nil), r.counts...)
+		c.counts = withRoom(r.counts)
 	}
-	c.seen = make(map[uint64]int32, len(r.seen))
-	for h, pos := range r.seen {
-		c.seen[h] = pos
-	}
+	c.seen = maps.Clone(r.seen)
 	if m := r.indexes.Load(); m != nil && len(*m) > 0 {
-		next := make(map[uint64]*colIndex, len(*m))
+		next := make(map[uint64]*Index, len(*m))
 		for mask, idx := range *m {
-			ci := &colIndex{
-				cols:    append([]int(nil), idx.cols...),
-				buckets: make(map[uint64][]int, len(idx.buckets)),
-			}
-			for k, positions := range idx.buckets {
-				ci.buckets[k] = append([]int(nil), positions...)
-			}
-			next[mask] = ci
+			next[mask] = idx.clone()
 		}
 		c.indexes.Store(&next)
 	}
@@ -978,8 +1155,8 @@ func NewStore() *Store {
 }
 
 // NewStoreWith returns an empty store interning into the given table. The
-// evaluators use it to create delta stores whose ID rows are comparable
-// with the main store's.
+// maintenance layer uses it to create side stores whose ID rows are
+// comparable with the main store's.
 func NewStoreWith(tab *intern.Table) *Store {
 	return &Store{tab: tab, relations: make(map[string]*Relation)}
 }
@@ -1002,6 +1179,31 @@ func (s *Store) Table() *intern.Table { return s.tab }
 // pre-materialize the tuple cache that concurrent readers consult.
 func (s *Store) Overlay() *Store {
 	return &Store{tab: s.tab, base: s, relations: make(map[string]*Relation)}
+}
+
+// Rebase readies an overlay for reuse over a new base: every relation of
+// the overlay is emptied in place, keeping its storage and index
+// definitions, and reads fall through to base from then on. It refuses an
+// overlay whose relations base also holds, since each of those would have
+// to start as a copy of the base relation instead of empty; the store is
+// left unchanged then. The evaluators pool their overlays this way.
+func (s *Store) Rebase(base *Store) error {
+	if s.base == nil {
+		return fmt.Errorf("Rebase on a store that is not an overlay")
+	}
+	if base.tab != s.tab {
+		return fmt.Errorf("Rebase across symbol tables")
+	}
+	for name := range s.relations {
+		if base.Existing(name) != nil {
+			return fmt.Errorf("Rebase: the new base holds relation %s", name)
+		}
+	}
+	s.base = base
+	for _, r := range s.relations {
+		r.Reset()
+	}
+	return nil
 }
 
 // Relation returns the relation with the given predicate key, creating it
@@ -1162,28 +1364,9 @@ func (s *Store) FactCount(name string) int {
 	return 0
 }
 
-// IndexStats sums the index probe/hit counters of every relation reachable
-// from the store. For an overlay this includes every base relation (even
-// shadowed ones): base relations are shared with other overlays, so the sum
-// is a consistent monotone total that callers diff across a time window
-// rather than a per-store attribution.
-func (s *Store) IndexStats() (probes, hits int64) {
-	for _, r := range s.relations {
-		p, h := r.IndexStats()
-		probes += p
-		hits += h
-	}
-	if s.base != nil {
-		p, h := s.base.IndexStats()
-		probes += p
-		hits += h
-	}
-	return probes, hits
-}
-
-// Reset empties every relation of the store in place, keeping relations,
-// their index definitions and their probe/hit counters (see Relation.Reset)
-// — the evaluators reuse their private delta stores this way. It refuses
+// Reset empties every relation of the store in place, keeping relations and
+// their index definitions (see Relation.Reset) — the maintenance layer
+// reuses its private delta stores this way. It refuses
 // pinned snapshot views, and a relation pinned by a snapshot is replaced by
 // a fresh empty one instead of being emptied in place, so the snapshot
 // keeps its rows like under every other write path.

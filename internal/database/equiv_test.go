@@ -170,15 +170,15 @@ func TestIndexMaintainedAcrossInserts(t *testing.T) {
 	if got := len(rel.Lookup([]int{0}, []ast.Term{ast.I(0)})); got != 4 {
 		t.Fatalf("initial lookup: %d tuples, want 4", got)
 	}
+	built := rel.Index([]int{0})
 	for i := 10; i < 20; i++ {
 		rel.MustInsert(Tuple{ast.I(int64(i % 3)), ast.I(int64(i))})
 	}
 	if got := len(rel.Lookup([]int{0}, []ast.Term{ast.I(0)})); got != 7 {
 		t.Fatalf("post-insert lookup: %d tuples, want 7", got)
 	}
-	probes, hits := rel.IndexStats()
-	if probes != 2 || hits != 11 {
-		t.Errorf("IndexStats = %d probes, %d hits; want 2, 11", probes, hits)
+	if rel.Index([]int{0}) != built {
+		t.Error("inserts rebuilt the index instead of maintaining it")
 	}
 }
 

@@ -61,7 +61,7 @@ func (r *Relation) IncRow(row []intern.ID, delta int32) (total int32, added bool
 		r.counts[pos] += delta
 		return r.counts[pos], false, nil
 	}
-	r.appendRow(append([]intern.ID(nil), row...), nil, h)
+	r.appendRow(r.copyRow(row), nil, h)
 	r.counts[len(r.counts)-1] = delta
 	return delta, true, nil
 }
@@ -121,7 +121,7 @@ func (r *Relation) DeleteRows(rows [][]intern.ID) int {
 // O(relation).
 func (r *Relation) MaterializeTuples() {
 	for pos := len(r.rows) - 1; r.lazy > 0 && pos >= 0; pos-- {
-		if r.tuples[pos] == nil {
+		if r.cachedTuple(pos) == nil {
 			r.materialize(pos)
 		}
 	}

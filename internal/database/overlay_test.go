@@ -105,13 +105,47 @@ func TestOverlayIndexSharing(t *testing.T) {
 	if got := rel.Lookup([]int{0}, []ast.Term{ast.S("a")}); len(got) != 1 {
 		t.Fatalf("lookup = %v", got)
 	}
-	p1, _ := base.IndexStats()
+	built := base.Existing("par").Index([]int{0})
 	ov2 := base.Overlay()
 	if got := ov2.Existing("par").Lookup([]int{0}, []ast.Term{ast.S("b")}); len(got) != 1 {
 		t.Fatalf("lookup = %v", got)
 	}
-	p2, _ := base.IndexStats()
-	if p2 != p1+1 {
-		t.Errorf("probes went %d -> %d; the second overlay should reuse the index with one more probe", p1, p2)
+	if base.Existing("par").Index([]int{0}) != built {
+		t.Error("the second overlay rebuilt the index instead of reusing it")
+	}
+}
+
+// TestOverlayRebase checks a rebased overlay reads through to its new base
+// with its own relations emptied in place, and that Rebase refuses a base
+// holding one of the overlay's relations, leaving the overlay unchanged.
+func TestOverlayRebase(t *testing.T) {
+	base := baseStore(t)
+	ov := base.Overlay()
+	ov.MustAddFact(ast.NewAtom("tc", ast.S("a"), ast.S("c")))
+	tc := ov.Existing("tc")
+
+	next := NewStoreWith(base.Table())
+	next.MustAddFact(ast.NewAtom("par", ast.S("c"), ast.S("d")))
+	if err := ov.Rebase(next); err != nil {
+		t.Fatal(err)
+	}
+	if ov.Existing("tc") != tc || tc.Len() != 0 {
+		t.Errorf("tc after Rebase: same relation %v, %d rows; want the same relation, emptied", ov.Existing("tc") == tc, tc.Len())
+	}
+	if ov.Existing("par") != next.Existing("par") || ov.FactCount("anc") != 0 {
+		t.Error("a rebased overlay must read through to the new base only")
+	}
+
+	clash := NewStoreWith(base.Table())
+	clash.MustAddFact(ast.NewAtom("tc", ast.S("x"), ast.S("y")))
+	ov.MustAddFact(ast.NewAtom("tc", ast.S("a"), ast.S("b")))
+	if err := ov.Rebase(clash); err == nil {
+		t.Fatal("Rebase onto a base holding the overlay's relation tc succeeded")
+	}
+	if ov.Existing("par") != next.Existing("par") || tc.Len() != 1 {
+		t.Error("a refused Rebase changed the overlay")
+	}
+	if err := NewStore().Rebase(next); err == nil {
+		t.Error("Rebase of a store that is not an overlay succeeded")
 	}
 }

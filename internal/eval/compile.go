@@ -1,19 +1,29 @@
 // Compilation of rules into ID-space join pipelines.
 //
-// Each rule is compiled once per evaluation (per delta-occurrence variant)
-// into the flat pipeline of plan.go. The compiler
+// Each rule is compiled once per Prepared program and delta-occurrence
+// variant into the flat pipeline of plan.go. The compiler
 //
 //   - assigns every rule variable a slot in the register file,
-//   - orders the body literals with the greedy bound-variables-first
-//     heuristic shared with the sip package (sip.GreedyOrder), forcing the
-//     delta occurrence to the front so the semi-naive join is driven from
-//     the new facts; a variant with no delta occurrence (a component's
+//   - orders the body literals with sip.JoinOrder, forcing the delta
+//     occurrence to the front so the semi-naive join is driven from the
+//     round's new rows; a variant with no delta occurrence (a component's
 //     first pass, or a naive round) starts at the first derived literal in
 //     textual order instead,
+//   - records per literal its predicate slot and the rows of its relation
+//     the variant reads (Prepared.rangeKinds: the delta range, the rows
+//     before it, or every row),
 //   - splits each literal's arguments into bound probe columns (value
 //     expressions evaluated against the relation's hash index) and free
 //     columns (pattern programs that bind or test registers), and
 //   - lowers the head into build-mode value expressions.
+//
+// Join ordering. sip.JoinOrder is the greedy bound-variables-first
+// heuristic that the rewritings use (sip.GreedyOrder), refined for
+// evaluation only: a literal whose arguments are all covered is an
+// existence test and is joined as soon as it is, and a literal whose new
+// variables feed only the head is joined last, since its matches would
+// multiply the work of every literal after it. The rewritten programs do
+// not depend on it.
 //
 // Starting a first pass at a derived literal is what keeps a rewritten
 // program goal-directed. No variable is bound yet, so the greedy tie-break
@@ -88,7 +98,7 @@ func (c *compiler) regOf(name string) int {
 }
 
 // compileRule lowers one rule into a pipeline with the literal at deltaPos
-// (if >= 0) reading from the delta store. The produced pipeline is immutable
+// (if >= 0) reading the round's delta rows. The produced pipeline is immutable
 // (all run-time scratch lives in a per-evaluation pipeScratch), so it can be
 // shared by concurrent evaluations of the same Prepared program.
 func compileRule(pp *Prepared, ruleIdx, deltaPos int) *pipeline {
@@ -106,15 +116,16 @@ func compileRule(pp *Prepared, ruleIdx, deltaPos int) *pipeline {
 		if first < 0 {
 			first = firstDerived(r, pp.derived)
 		}
-		order = sip.GreedyOrder(r.Body, nil, pp.derived, first)
+		order = sip.JoinOrder(r.Body, nil, pp.derived, first)
 	}
+	kinds := pp.rangeKinds(ruleIdx, deltaPos)
 
 	c := &compiler{tab: pp.tab, regs: make(map[string]int), bound: make(map[string]bool)}
 	pl := &pipeline{ruleIdx: ruleIdx, rule: r, headOK: true}
 
 	for _, pos := range order {
 		lit := r.Body[pos]
-		st := step{lit: lit, key: lit.PredKey(), fromDelta: pos == deltaPos}
+		st := step{lit: lit, slot: pp.bodySlots[ruleIdx][pos], rng: kinds[pos]}
 		// First pass: decide bound vs free per argument against the
 		// pre-literal bound set, mirroring the term-space evaluator which
 		// derives the probe columns from the substitution before the
@@ -143,7 +154,7 @@ func compileRule(pp *Prepared, ruleIdx, deltaPos int) *pipeline {
 	// Head: every argument must be covered by the body for the rule to be
 	// safe; otherwise firing reports ErrNonGroundFact like the term-space
 	// evaluator.
-	pl.headKey = r.Head.PredKey()
+	pl.headSlot = pp.headSlots[ruleIdx]
 	pl.headArity = len(r.Head.Args)
 	for _, arg := range r.Head.Args {
 		if !c.allVarsBound(arg) {

@@ -144,13 +144,11 @@ type Stats struct {
 	DeltaRuleEvals   int64
 	SkippedRuleEvals int64
 	// IndexProbes is the number of bound-column index lookups the evaluation
-	// performed against the store (main and delta sides); IndexHits is the
-	// number of tuples those lookups returned. These are storage-level
+	// performed; IndexHits is the number of tuples those lookups returned
+	// within the rows the occurrence reads. These are storage-level
 	// counters: a JoinProbes match attempt fed by a scan appears in neither.
-	// They are measured as the difference of the shared relation counters
-	// over the evaluation, so when several evaluations run concurrently over
-	// the same base store, probes on the shared base relations are
-	// attributed to whichever evaluations were in flight.
+	// The evaluation counts them itself, so concurrent evaluations over the
+	// same base store never see each other's lookups.
 	IndexProbes int64
 	IndexHits   int64
 	// CompiledPlans counts the join pipelines compiled during this
@@ -212,6 +210,8 @@ func (s *Stats) merge(w *Stats) {
 	s.PlanOps += w.PlanOps
 	s.OpProbes += w.OpProbes
 	s.OpScans += w.OpScans
+	s.IndexProbes += w.IndexProbes
+	s.IndexHits += w.IndexHits
 	s.WorkerRounds += w.WorkerRounds
 	if w.StoppedEarly {
 		s.StoppedEarly = true
@@ -262,19 +262,80 @@ type variantKey struct {
 	delta int
 }
 
+// rangeKind says which rows of its relation a body occurrence reads in one
+// rule variant. Within an evaluation every relation the evaluation writes is
+// append-only, so a semi-naive round of a component is described by two row
+// watermarks per component relation: lo, its length when the previous round
+// started, and hi, its length when this round started. Rows [lo, hi) are the
+// round's delta; rows a round derives land at hi or beyond and stay
+// invisible until the next round.
+type rangeKind uint8
+
+const (
+	// readWhole reads every row: base relations and relations of lower
+	// components, which do not change while the component runs.
+	readWhole rangeKind = iota
+	// readOld reads [0, lo): a component occurrence before the delta
+	// occurrence in textual order.
+	readOld
+	// readAll reads [0, hi): a component occurrence after the delta
+	// occurrence, or any component occurrence in a first pass.
+	readAll
+	// readDelta reads [lo, hi): the delta occurrence.
+	readDelta
+)
+
+// rangeKinds returns, per body position of rule ri, the rows the variant
+// with its delta at deltaPos (-1 for a first pass) reads. This old/new split
+// is what makes the evaluation exact: a body instantiation whose newest
+// component fact arrived in round r fires in round r only, in the variant
+// whose delta position is the first occurrence holding a fact of that round
+// (the generalised differential method of Balbin and Ramamohanarao).
+func (pp *Prepared) rangeKinds(ri, deltaPos int) []rangeKind {
+	r := pp.program.Rules[ri]
+	kinds := make([]rangeKind, len(r.Body))
+	comp := &pp.plan.Components[pp.plan.PredComponent[r.Head.PredKey()]]
+	for _, pos := range comp.DeltaPositions[ri] {
+		switch {
+		case deltaPos < 0 || pos > deltaPos:
+			kinds[pos] = readAll
+		case pos < deltaPos:
+			kinds[pos] = readOld
+		default:
+			kinds[pos] = readDelta
+		}
+	}
+	return kinds
+}
+
 // Prepared is the reusable compiled form of a program for bottom-up
 // evaluation: the arity and derived-predicate maps, the dependency-graph
-// schedule, and the ID-space join pipelines, computed once and shared by
-// any number of evaluations — including concurrent ones — over stores that
-// intern into the same symbol table. It is the unit a serving layer caches
-// per query form so the compile work runs once while evaluation runs per
-// call.
+// schedule, the predicate numbering, and the ID-space join pipelines,
+// computed once and shared by any number of evaluations — including
+// concurrent ones — over stores that intern into the same symbol table. It
+// is the unit a serving layer caches per query form so the compile work runs
+// once while evaluation runs per call.
 type Prepared struct {
 	program *ast.Program
 	arities map[string]int
 	derived map[string]bool
 	plan    *depgraph.Plan
 	tab     *intern.Table
+
+	// preds numbers every predicate the program mentions; compiled steps
+	// and heads address their relations by this slot, and an evaluation
+	// resolves the slots to relations once. bodySlots and headSlots give the
+	// slot of every body literal and rule head, compSlots the slots of every
+	// component's predicates.
+	preds     []string
+	slotOf    map[string]int
+	bodySlots [][]int
+	headSlots []int
+	compSlots [][]int
+
+	// overlays holds evaluation overlays handed back through Release, for
+	// the next evaluation to reuse their relations' storage.
+	overlays sync.Pool
 
 	mu       sync.Mutex
 	variants map[variantKey]*pipeline
@@ -300,18 +361,64 @@ func PrepareWith(p *ast.Program, tab *intern.Table, plan *depgraph.Plan) (*Prepa
 	if plan == nil {
 		plan = depgraph.Analyze(p)
 	}
-	return &Prepared{
+	pp := &Prepared{
 		program:  p,
 		arities:  arities,
 		derived:  p.DerivedPredicates(),
 		plan:     plan,
 		tab:      tab,
+		slotOf:   make(map[string]int),
 		variants: make(map[variantKey]*pipeline),
-	}, nil
+	}
+	slot := func(key string) int {
+		s, ok := pp.slotOf[key]
+		if !ok {
+			s = len(pp.preds)
+			pp.slotOf[key] = s
+			pp.preds = append(pp.preds, key)
+		}
+		return s
+	}
+	for _, r := range p.Rules {
+		pp.headSlots = append(pp.headSlots, slot(r.Head.PredKey()))
+		body := make([]int, len(r.Body))
+		for i, lit := range r.Body {
+			body[i] = slot(lit.PredKey())
+		}
+		pp.bodySlots = append(pp.bodySlots, body)
+	}
+	for _, comp := range plan.Components {
+		slots := make([]int, len(comp.Preds))
+		for i, key := range comp.Preds {
+			slots[i] = slot(key)
+		}
+		pp.compSlots = append(pp.compSlots, slots)
+	}
+	return pp, nil
 }
 
 // Program returns the prepared program.
 func (pp *Prepared) Program() *ast.Program { return pp.program }
+
+// Release hands the store an evaluation of pp returned back for reuse: the
+// next evaluation may empty its derived relations and fill them again
+// instead of allocating fresh ones. The caller must not use the store, or
+// any row or relation read from it, afterwards.
+func (pp *Prepared) Release(store *database.Store) {
+	if store != nil {
+		pp.overlays.Put(store)
+	}
+}
+
+// overlay returns a copy-on-write overlay of edb for one evaluation: a
+// released one rebased onto edb when that is possible, a fresh one
+// otherwise.
+func (pp *Prepared) overlay(edb *database.Store) *database.Store {
+	if st, ok := pp.overlays.Get().(*database.Store); ok && st.Rebase(edb) == nil {
+		return st
+	}
+	return edb.Overlay()
+}
 
 // pipelineVariant returns the compiled pipeline for one rule variant,
 // compiling it on first use; fresh reports whether this call performed the
@@ -356,14 +463,29 @@ type evalContext struct {
 	// reader is the lock-free view of the store's symbol table the compiled
 	// pipelines execute against.
 	reader intern.Reader
-	// extraStores lists auxiliary stores (the reusable delta stores of the
-	// semi-naive evaluator) whose index counters finish folds into the
-	// totals alongside the main store's.
-	extraStores []*database.Store
-	// baseProbes/baseHits snapshot the store's index counters at the start
-	// of the evaluation; finish reports the difference, since overlay base
-	// relations carry counters across evaluations.
-	baseProbes, baseHits int64
+	// rels resolves the prepared program's predicate slots to this
+	// evaluation's relations (nil for a predicate with no relation). The set
+	// cannot change during the evaluation: derived relations are pre-created
+	// and nothing else is written.
+	rels []*database.Relation
+	// lo and hi are the row watermarks of the running round, per slot (see
+	// rangeKind); only the slots of the component being evaluated are set.
+	lo, hi []int
+	// live makes every occurrence read all rows present when the step
+	// starts: the naive evaluator has no rounds to bound.
+	live bool
+	// shardW and shardK, with shardK > 0, make this context shard shardW of
+	// a partitioned round: its delta occurrences read only every shardK-th
+	// delta row (see inShard), and the derived rows the frozen main relation
+	// does not hold go to out, one buffer per slot.
+	shardW, shardK int
+	out            []rowBuf
+	// shards are the shard contexts of this context's partitioned rounds,
+	// allocated on first use.
+	shards []*evalContext
+	// variants is the reusable list of the rule variants a delta round
+	// fires.
+	variants []variantKey
 	// par links a forked worker context back to the shared state of a
 	// parallel run (global limit counters, stop flag). nil in sequential
 	// evaluation and in the root context of a parallel one.
@@ -377,12 +499,11 @@ type evalContext struct {
 }
 
 // fork derives a worker context sharing the run's immutable machinery (store,
-// prepared program, reader — which self-refreshes per copy) but with private
-// pipeline scratch, private Stats, and a link to the parallel run's shared
-// state. Workers write only to relations their component owns (all relations
-// were pre-created by newContext, so the overlay map itself is read-only) or
-// to private shard stores, which is what makes the shared *database.Store
-// safe without locking.
+// prepared program, relations, reader — which self-refreshes per copy) but
+// with private pipeline scratch, private Stats, private round watermarks
+// and a link to the parallel run's shared state. Workers write only to
+// relations their component owns, which is what makes the shared
+// *database.Store safe without locking.
 func (ctx *evalContext) fork(pr *parRun) *evalContext {
 	w := *ctx
 	w.bound = make(map[variantKey]*runPipe)
@@ -390,7 +511,10 @@ func (ctx *evalContext) fork(pr *parRun) *evalContext {
 		Strategy:    ctx.stats.Strategy,
 		RuleFirings: make([]int64, len(ctx.program.Rules)),
 	}
-	w.extraStores = nil
+	w.lo = make([]int, len(ctx.rels))
+	w.hi = make([]int, len(ctx.rels))
+	w.shards = nil
+	w.variants = nil
 	w.par = pr
 	w.flushedDerivations = 0
 	w.flushedFacts = 0
@@ -407,7 +531,7 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 	ctx := &evalContext{
 		prep:    pp,
 		program: pp.program,
-		store:   edb.Overlay(),
+		store:   pp.overlay(edb),
 		derived: pp.derived,
 		arities: pp.arities,
 		opts:    opts,
@@ -418,6 +542,9 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 			RuleFirings:      make([]int64, len(pp.program.Rules)),
 			FactsByPredicate: make(map[string]int),
 		},
+		rels: make([]*database.Relation, len(pp.preds)),
+		lo:   make([]int, len(pp.preds)),
+		hi:   make([]int, len(pp.preds)),
 	}
 	ctx.reader = ctx.store.Table().Reader()
 	// Pre-create relations for every derived predicate so lookups during
@@ -437,7 +564,9 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 			return nil, fmt.Errorf("eval: seed %s: %w", seed, err)
 		}
 	}
-	ctx.baseProbes, ctx.baseHits = ctx.store.IndexStats()
+	for slot, key := range pp.preds {
+		ctx.rels[slot] = ctx.store.Existing(key)
+	}
 	return ctx, nil
 }
 
@@ -445,9 +574,6 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 // fetching (or compiling) the shared variant and binding it to this
 // evaluation's scratch buffers on first use.
 func (ctx *evalContext) pipelineFor(ruleIdx, deltaPos int) *runPipe {
-	if ctx.opts.forceTermSpace {
-		return nil
-	}
 	key := variantKey{ruleIdx, deltaPos}
 	if rp, ok := ctx.bound[key]; ok {
 		return rp
@@ -462,14 +588,45 @@ func (ctx *evalContext) pipelineFor(ruleIdx, deltaPos int) *runPipe {
 	return rp
 }
 
+// bounds returns the row range [lo, hi) an occurrence of the given kind
+// reads from rel, the relation of the given slot.
+func (ctx *evalContext) bounds(kind rangeKind, slot int, rel *database.Relation) (lo, hi int) {
+	switch {
+	case ctx.live || kind == readWhole:
+		return 0, rel.Len()
+	case kind == readOld:
+		return 0, ctx.lo[slot]
+	case kind == readAll:
+		return 0, ctx.hi[slot]
+	}
+	return ctx.lo[slot], ctx.hi[slot]
+}
+
+// inShard reports whether the row at pos, read by an occurrence of the
+// given kind, belongs to this context: every row does, except that shard w
+// of k reads only the delta rows at positions congruent to w modulo k.
+func (ctx *evalContext) inShard(kind rangeKind, pos int) bool {
+	return ctx.shardK == 0 || kind != readDelta || pos%ctx.shardK == ctx.shardW
+}
+
+// countsOps reports whether this context counts the per-step op counters
+// (OpScans, OpProbes, IndexProbes) of an occurrence of the given kind. The
+// shards of a partitioned round each enter the delta occurrence exactly as
+// often as the unpartitioned round would, so only shard 0 counts it; the
+// per-row counters are split by the shard filter and sum exactly.
+func (ctx *evalContext) countsOps(kind rangeKind) bool {
+	return ctx.shardK == 0 || kind != readDelta || ctx.shardW == 0
+}
+
 // matchLiteral enumerates the substitutions extending s that satisfy the
-// body literal against the given relation, invoking yield for each. The
-// relation may be nil (no matches). It returns an error only for unresolved
-// arithmetic arguments.
-func (ctx *evalContext) matchLiteral(lit ast.Atom, rel *database.Relation, s ast.Subst, yield func(ast.Subst) error) error {
+// body literal against rows [lo, hi) of the given relation, invoking yield
+// for each. The relation may be nil (no matches). It returns an error only
+// for unresolved arithmetic arguments.
+func (ctx *evalContext) matchLiteral(lit ast.Atom, rel *database.Relation, kind rangeKind, slot int, s ast.Subst, yield func(ast.Subst) error) error {
 	if rel == nil {
 		return nil
 	}
+	lo, hi := ctx.bounds(kind, slot, rel)
 	// Instantiate the literal under the current substitution and normalize
 	// arithmetic.
 	inst := s.ApplyAtom(lit)
@@ -486,8 +643,20 @@ func (ctx *evalContext) matchLiteral(lit ast.Atom, rel *database.Relation, s ast
 			vals = append(vals, arg)
 		}
 	}
-	positions := rel.Lookup(cols, vals)
-	for _, pos := range positions {
+	if len(cols) > 0 {
+		ctx.stats.IndexProbes++
+	}
+	// Lookup returns positions in ascending order.
+	for _, pos := range rel.Lookup(cols, vals) {
+		if pos < lo {
+			continue
+		}
+		if pos >= hi {
+			break
+		}
+		if len(cols) > 0 {
+			ctx.stats.IndexHits++
+		}
 		tuple := rel.Tuple(pos)
 		ctx.stats.JoinProbes++
 		s2 := s.Clone()
@@ -500,12 +669,15 @@ func (ctx *evalContext) matchLiteral(lit ast.Atom, rel *database.Relation, s ast
 	return nil
 }
 
-// ruleEval evaluates one rule with the body literal at deltaPos (if >= 0)
-// matched against the delta store instead of the full store, and calls emit
-// for every derived ground head fact. It is the substitution-based reference
+// ruleEval evaluates one rule variant (the body literal at deltaPos, if >=
+// 0, reading the round's delta rows; see rangeKinds) and calls emit for
+// every derived ground head fact. It is the substitution-based reference
 // evaluator: production evaluation goes through the compiled join pipelines
 // (plan.go/compile.go), and the differential tests check the two agree.
-func (ctx *evalContext) ruleEval(ruleIdx int, r ast.Rule, deltaPos int, delta *database.Store, emit func(ast.Atom) error) error {
+func (ctx *evalContext) ruleEval(ruleIdx int, deltaPos int, emit func(ast.Atom) error) error {
+	r := ctx.program.Rules[ruleIdx]
+	kinds := ctx.prep.rangeKinds(ruleIdx, deltaPos)
+	slots := ctx.prep.bodySlots[ruleIdx]
 	var walk func(i int, s ast.Subst) error
 	walk = func(i int, s ast.Subst) error {
 		if i == len(r.Body) {
@@ -525,121 +697,40 @@ func (ctx *evalContext) ruleEval(ruleIdx int, r ast.Rule, deltaPos int, delta *d
 			}
 			return emit(head)
 		}
-		lit := r.Body[i]
-		var rel *database.Relation
-		if i == deltaPos {
-			rel = delta.Existing(lit.PredKey())
-		} else {
-			rel = ctx.store.Existing(lit.PredKey())
-		}
-		return ctx.matchLiteral(lit, rel, s, func(s2 ast.Subst) error {
+		return ctx.matchLiteral(r.Body[i], ctx.rels[slots[i]], kinds[i], slots[i], s, func(s2 ast.Subst) error {
 			return walk(i+1, s2)
 		})
 	}
 	return walk(0, ast.NewSubst())
 }
 
-// insertDerived adds a derived fact to the target store, updating stats, and
-// reports whether it was new in the main store.
-func (ctx *evalContext) insertFact(target *database.Store, head ast.Atom) (bool, error) {
-	rel, err := target.Relation(head.PredKey(), len(head.Args))
-	if err != nil {
-		return false, fmt.Errorf("eval: %w", err)
-	}
-	added, err := rel.Insert(database.Tuple(head.Args))
-	if err != nil {
-		return false, fmt.Errorf("eval: %w", err)
-	}
-	return added, nil
-}
-
-// insertRow adds a derived ID row to the target store and reports whether it
-// was new there.
-func (ctx *evalContext) insertRow(target *database.Store, key string, arity int, row []intern.ID) (bool, error) {
-	rel, err := target.Relation(key, arity)
-	if err != nil {
-		return false, fmt.Errorf("eval: %w", err)
-	}
-	added, err := rel.InsertRow(row)
-	if err != nil {
-		return false, fmt.Errorf("eval: %w", err)
-	}
-	return added, nil
-}
-
-// fireRule evaluates one rule — through its compiled join pipeline, or the
-// substitution-based reference matcher when forceTermSpace is set — with the
-// body literal at deltaPos (if >= 0) matched against the delta store. Every
-// derived fact is inserted into the main store; new facts are additionally
-// inserted into aux (if non-nil, the next delta store) and reported through
-// onNew.
-func (ctx *evalContext) fireRule(ruleIdx int, deltaPos int, delta *database.Store, aux *database.Store, onNew func()) error {
-	if rp := ctx.pipelineFor(ruleIdx, deltaPos); rp != nil {
-		pl := rp.pl
-		return pl.run(ctx, rp.sc, delta, func(row []intern.ID) error {
-			added, err := ctx.insertRow(ctx.store, pl.headKey, pl.headArity, row)
+// fireRule evaluates one rule variant — through its compiled join pipeline,
+// or the substitution-based reference matcher when forceTermSpace is set —
+// inserting every derived fact into the main store. A shard context of a
+// partitioned round instead collects the derived rows the frozen main
+// relation does not hold into its private buffers: nothing shared is
+// written, so the shards run concurrently, and the duplicate filtering
+// (which dominates the late rounds of a transitive closure) runs inside the
+// parallel phase.
+func (ctx *evalContext) fireRule(ruleIdx, deltaPos int) error {
+	head := ctx.rels[ctx.prep.headSlots[ruleIdx]]
+	if ctx.opts.forceTermSpace {
+		return ctx.ruleEval(ruleIdx, deltaPos, func(a ast.Atom) error {
+			added, err := head.Insert(database.Tuple(a.Args))
 			if err != nil {
-				return err
+				return fmt.Errorf("eval: %w", err)
 			}
 			if added {
 				ctx.stats.NewFacts++
-				if aux != nil {
-					if _, err := ctx.insertRow(aux, pl.headKey, pl.headArity, row); err != nil {
-						return err
-					}
-				}
-				if onNew != nil {
-					onNew()
-				}
 			}
 			return ctx.checkFactLimit()
 		})
 	}
-	return ctx.ruleEval(ruleIdx, ctx.program.Rules[ruleIdx], deltaPos, delta, func(head ast.Atom) error {
-		added, err := ctx.insertFact(ctx.store, head)
-		if err != nil {
-			return err
-		}
-		if added {
-			ctx.stats.NewFacts++
-			if aux != nil {
-				if _, err := ctx.insertFact(aux, head); err != nil {
-					return err
-				}
-			}
-			if onNew != nil {
-				onNew()
-			}
-		}
-		return ctx.checkFactLimit()
-	})
-}
-
-// fireRuleInto is the shard-local variant of fireRule used by partitioned
-// delta rounds: the rule fires with the body literal at deltaPos matched
-// against a private delta shard, and every derived row that the (frozen) main
-// relation does not already hold goes into the private out store — nothing
-// shared is written, so K shards run concurrently. ContainsRow moves the
-// duplicate filtering, which dominates the late rounds of a transitive
-// closure, into the parallel phase; the serial round barrier then only has to
-// merge the out shards into the main relation. Only the compiled-pipeline
-// path exists here: forceTermSpace evaluations never reach the parallel
-// evaluator.
-func (ctx *evalContext) fireRuleInto(ruleIdx, deltaPos int, delta, out *database.Store) error {
 	rp := ctx.pipelineFor(ruleIdx, deltaPos)
-	pl := rp.pl
-	main := ctx.store.Existing(pl.headKey)
-	outRel, err := out.Relation(pl.headKey, pl.headArity)
-	if err != nil {
-		return fmt.Errorf("eval: %w", err)
+	if ctx.shardK > 0 {
+		return rp.pl.run(ctx, rp.sc, head, &ctx.out[rp.pl.headSlot])
 	}
-	return pl.run(ctx, rp.sc, delta, func(row []intern.ID) error {
-		if main.ContainsRow(row) {
-			return nil
-		}
-		_, err := outRel.InsertRow(row)
-		return err
-	})
+	return rp.pl.run(ctx, rp.sc, head, nil)
 }
 
 func (ctx *evalContext) checkFactLimit() error {
@@ -693,19 +784,10 @@ func (ctx *evalContext) stopRequested() bool {
 	return false
 }
 
-// finish fills derived-fact counts and index statistics (main store plus
-// the reusable delta stores) and returns the final result.
+// finish fills the derived-fact counts and returns the final result.
 func (ctx *evalContext) finish(err error) (*database.Store, *Stats, error) {
 	for key := range ctx.derived {
-		ctx.stats.FactsByPredicate[key] = ctx.store.FactCount(key)
-	}
-	p, h := ctx.store.IndexStats()
-	ctx.stats.IndexProbes = p - ctx.baseProbes
-	ctx.stats.IndexHits = h - ctx.baseHits
-	for _, s := range ctx.extraStores {
-		p, h := s.IndexStats()
-		ctx.stats.IndexProbes += p
-		ctx.stats.IndexHits += h
+		ctx.stats.FactsByPredicate[key] = ctx.rels[ctx.prep.slotOf[key]].Len()
 	}
 	return ctx.store, ctx.stats, err
 }
@@ -736,6 +818,7 @@ func (pp *Prepared) EvaluateNaiveCtx(c context.Context, edb *database.Store, see
 	if err != nil {
 		return nil, nil, err
 	}
+	ctx.live = true
 	for {
 		if err := ctx.ctxErr(); err != nil {
 			return ctx.finish(err)
@@ -747,13 +830,13 @@ func (pp *Prepared) EvaluateNaiveCtx(c context.Context, edb *database.Store, see
 		if opts.MaxIterations > 0 && ctx.stats.Iterations > opts.MaxIterations {
 			return ctx.finish(fmt.Errorf("%w: more than %d iterations", ErrLimitExceeded, opts.MaxIterations))
 		}
-		changed := false
+		before := ctx.stats.NewFacts
 		for i := range pp.program.Rules {
-			if err := ctx.fireRule(i, -1, nil, nil, func() { changed = true }); err != nil {
+			if err := ctx.fireRule(i, -1); err != nil {
 				return ctx.finish(err)
 			}
 		}
-		if !changed {
+		if ctx.stats.NewFacts == before {
 			return ctx.finish(nil)
 		}
 	}
@@ -796,8 +879,8 @@ func (pp *Prepared) Evaluate(edb *database.Store, seeds []ast.Atom, opts Options
 func (pp *Prepared) EvaluateCtx(c context.Context, edb *database.Store, seeds []ast.Atom, opts Options) (*database.Store, *Stats, error) {
 	// Dispatch to the parallel scheduler when more than one worker is allowed
 	// and StopEarly's between-rounds contract can be kept exact (see
-	// Options.StopEarlyPred). P=1 — and the fallback — run the sequential
-	// code below unchanged.
+	// Options.StopEarlyPred). P=1 — and the fallback — run the components
+	// in order on the calling goroutine, never partitioning a round.
 	if p := opts.parallelism(); p > 1 {
 		if opts.StopEarly == nil || opts.StopEarlyPred != "" {
 			return pp.evaluateParallel(c, edb, seeds, opts, p)
@@ -807,82 +890,128 @@ func (pp *Prepared) EvaluateCtx(c context.Context, edb *database.Store, seeds []
 	if err != nil {
 		return nil, nil, err
 	}
-	p := pp.program
-	plan := pp.plan
-	ctx.stats.Strata = plan.Strata()
-
-	// Two delta stores are allocated once and reused across every round of
-	// every component (clear-and-refill instead of fresh stores): delta holds
-	// the facts driving the current round, next collects the facts it
-	// derives, and the two swap roles at the end of the round. They share the
-	// main store's symbol table so compiled pipelines can move raw ID rows
-	// between them; finish folds their index counters into the totals.
-	delta := database.NewStoreWith(ctx.store.Table())
-	next := database.NewStoreWith(ctx.store.Table())
-	ctx.extraStores = []*database.Store{delta, next}
-
-	for _, comp := range plan.Components {
-		// First pass over the component: evaluate its rules against the full
-		// store (base facts, seeds, and everything derived by earlier
-		// components). rounds counts this component's passes; MaxIterations
-		// bounds it per component so the limit keeps its old meaning of "how
-		// long may a fixpoint loop run" rather than scaling with the number
-		// of strata.
-		// The first pass can never trip MaxIterations (any positive bound
-		// admits at least one round), so only the delta loop checks it.
-		if err := ctx.ctxErr(); err != nil {
+	ctx.stats.Strata = pp.plan.Strata()
+	for ci := range pp.plan.Components {
+		stop, err := ctx.runComponent(ci)
+		if err != nil || stop {
 			return ctx.finish(err)
-		}
-		if ctx.stopRequested() {
-			return ctx.finish(nil)
-		}
-		rounds := 1
-		ctx.stats.Iterations++
-		delta.Reset()
-		for _, ri := range comp.Rules {
-			if err := ctx.fireRule(ri, -1, nil, delta, nil); err != nil {
-				return ctx.finish(err)
-			}
-		}
-		if !comp.Recursive {
-			// Nothing in this component can feed back into it: one pass is a
-			// fixpoint.
-			continue
-		}
-
-		// Delta iteration, confined to this component's rules. Only body
-		// occurrences of same-component predicates can carry new facts; all
-		// other predicates are complete.
-		for delta.TotalFacts() > 0 {
-			if err := ctx.ctxErr(); err != nil {
-				return ctx.finish(err)
-			}
-			if ctx.stopRequested() {
-				return ctx.finish(nil)
-			}
-			rounds++
-			ctx.stats.Iterations++
-			if opts.MaxIterations > 0 && rounds > opts.MaxIterations {
-				return ctx.finish(fmt.Errorf("%w: more than %d iterations", ErrLimitExceeded, opts.MaxIterations))
-			}
-			next.Reset()
-			for _, ri := range comp.Rules {
-				r := p.Rules[ri]
-				for _, pos := range comp.DeltaPositions[ri] {
-					if delta.FactCount(r.Body[pos].PredKey()) == 0 {
-						ctx.stats.SkippedRuleEvals++
-						continue
-					}
-					ctx.stats.DeltaRuleEvals++
-					if err := ctx.fireRule(ri, pos, delta, next, nil); err != nil {
-						return ctx.finish(err)
-					}
-				}
-			}
-			delta, next = next, delta
 		}
 	}
 	return ctx.finish(nil)
+}
+
+// beforeRound runs the checks due before a component's first pass and
+// before each of its delta rounds: cancellation, the parallel run's stop
+// flag, and Options.StopEarly (only where parRun.stopSafe allows it). stop
+// reports that StopEarly truncated the evaluation.
+func (ctx *evalContext) beforeRound(ci int) (stop bool, err error) {
+	if err := ctx.ctxErr(); err != nil {
+		return false, err
+	}
+	if pr := ctx.par; pr != nil {
+		if pr.stop.Load() {
+			return false, errStopParallel
+		}
+		if !pr.stopSafe(ci) {
+			return false, nil
+		}
+	}
+	if ctx.stopRequested() {
+		if ctx.par != nil {
+			ctx.par.stop.Store(true)
+		}
+		return true, nil
+	}
+	return false, nil
+}
+
+// runComponent evaluates component ci to fixpoint: a first pass over its
+// rules reading every row present when it starts, then, for a recursive
+// component, delta rounds until a round derives nothing. Each round first
+// moves the watermarks of the component's relations (lo to the previous
+// round's hi, hi to the current length) and then fires, for every
+// occurrence of a component predicate with a non-empty delta, the rule
+// variant driven from it. A round with at least partitionThreshold delta
+// rows is split across shards when the evaluation runs with more than one
+// worker. MaxIterations bounds the passes per component, so the limit keeps
+// its meaning of "how long may a fixpoint loop run" rather than scaling
+// with the number of strata; the first pass can never trip it.
+func (ctx *evalContext) runComponent(ci int) (stop bool, err error) {
+	pp := ctx.prep
+	comp := &pp.plan.Components[ci]
+	slots := pp.compSlots[ci]
+	if stop, err := ctx.beforeRound(ci); stop || err != nil {
+		return stop, err
+	}
+	for _, s := range slots {
+		n := ctx.rels[s].Len()
+		ctx.lo[s], ctx.hi[s] = n, n
+	}
+	ctx.stats.Iterations++
+	for _, ri := range comp.Rules {
+		if err := ctx.fireRule(ri, -1); err != nil {
+			return false, err
+		}
+	}
+	if err := ctx.afterRound(); err != nil {
+		return false, err
+	}
+	if !comp.Recursive {
+		return false, nil
+	}
+	for rounds := 2; ; rounds++ {
+		total := 0
+		for _, s := range slots {
+			ctx.lo[s], ctx.hi[s] = ctx.hi[s], ctx.rels[s].Len()
+			total += ctx.hi[s] - ctx.lo[s]
+		}
+		if total == 0 {
+			return false, nil
+		}
+		if stop, err := ctx.beforeRound(ci); stop || err != nil {
+			return stop, err
+		}
+		ctx.stats.Iterations++
+		if max := ctx.opts.MaxIterations; max > 0 && rounds > max {
+			return false, fmt.Errorf("%w: more than %d iterations", ErrLimitExceeded, max)
+		}
+		variants := ctx.variants[:0]
+		for _, ri := range comp.Rules {
+			for _, pos := range comp.DeltaPositions[ri] {
+				if s := pp.bodySlots[ri][pos]; ctx.hi[s] == ctx.lo[s] {
+					ctx.stats.SkippedRuleEvals++
+					continue
+				}
+				ctx.stats.DeltaRuleEvals++
+				variants = append(variants, variantKey{ri, pos})
+			}
+		}
+		ctx.variants = variants
+		if ctx.par != nil && total >= partitionThreshold {
+			err = ctx.partitionedRound(variants)
+		} else {
+			for _, v := range variants {
+				if err = ctx.fireRule(v.rule, v.delta); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			return false, err
+		}
+		if err := ctx.afterRound(); err != nil {
+			return false, err
+		}
+	}
+}
+
+// afterRound publishes a parallel worker's counters at a round barrier,
+// enforcing the run's global limits.
+func (ctx *evalContext) afterRound() error {
+	if ctx.par != nil {
+		return ctx.par.tick(ctx)
+	}
+	return nil
 }
 
 // answerSelection locates the tuples of the given relation that match the

@@ -1,5 +1,7 @@
 // Parallel semi-naive evaluation: the SCC plan of a prepared program is run
-// by a bounded worker pool at two levels of concurrency.
+// by a bounded worker pool at two levels of concurrency. Both levels run the
+// one component loop of the sequential evaluator (evalContext.runComponent);
+// they only change who runs it and how a large round is split.
 //
 // Level 1 (inter-component): a ready-set scheduler over the plan's
 // dependency edges (depgraph.Plan.Deps/Dependents) runs every component
@@ -9,29 +11,27 @@
 // relation map is never written during evaluation), a component's rules read
 // only its own relations, relations of completed components, and the frozen
 // base — so no relation is ever read and written by different goroutines at
-// the same time. The calling goroutine is one of the level-1 workers; when
-// the plan is a chain (every component depends on its predecessor) only one
-// component is ever ready, and it is the only one.
+// the same time. Each worker has its own round watermarks. The calling
+// goroutine is one of the level-1 workers; when the plan is a chain (every
+// component depends on its predecessor) only one component is ever ready,
+// and it is the only one.
 //
-// Level 2 (intra-round): a large delta round of a recursive component is
-// hash-partitioned across K shards. Each shard scatters its slice of the
-// delta (Relation.ScatterShard on the full-row hash), fires the component's
-// delta rules through the compiled pipelines with a private evalContext, and
-// collects derived rows into a private out store, pre-filtered against the
-// frozen main relation (Relation.ContainsRow — duplicate suppression, which
+// Level 2 (intra-round): a delta round of a recursive component with at
+// least partitionThreshold delta rows is split across K shards. A round's
+// delta is a row range of the main relations, so nothing is copied: shard w
+// fires the round's rule variants with each delta occurrence reading only
+// every K-th delta row (the positions congruent to w), and every other
+// occurrence reading the main relations, frozen for the round, with the
+// same watermarks. Shards buffer the derived rows the frozen main relation
+// does not hold (Relation.ContainsRow — duplicate suppression, which
 // dominates the late rounds of a transitive closure, thus runs inside the
-// parallel phase). The round barrier then serially merges the out shards
-// into the main store (Relation.MergeFrom, sharing row slices), and the next
-// partitioned round scatters directly from this round's out shards — the
-// serial section is exactly the merge. Deferring the main-store insert to
-// the barrier changes in-round visibility (a fact derived early in a round
-// is not seen by later probes of the same round, only from the next round
-// on), which can shift on which round a given derivation happens but not
-// the fixpoint: the semi-naive invariant delta ⊆ main is maintained by the
-// merge itself, so no derivation is lost, and rounds continue while the
-// merge adds rows. Small rounds (below partitionThreshold) run the exact
-// sequential round code, so small evaluations report sequential-identical
-// statistics.
+// parallel phase), and the round barrier inserts the buffers into the main
+// relations in shard order — the serial section is exactly those inserts.
+// Rows a round derives are invisible until the next round whether or not
+// the round is partitioned, and every body instantiation fires once, in the
+// shard owning its delta row: a partitioned round does precisely the work
+// of the unpartitioned one and reports the same statistics (bar
+// WorkerRounds).
 package eval
 
 import (
@@ -48,10 +48,8 @@ import (
 
 // partitionThreshold is the minimum number of delta rows in a recursive
 // round before the round is hash-partitioned across shards. Below it the
-// exact sequential round code runs: scatter/merge overhead would dominate,
-// and keeping small rounds on the sequential path keeps their statistics
-// (Iterations, DeltaRuleEvals, insert order of derived relations) identical
-// to a Parallelism=1 run.
+// round runs on the component's worker: starting the shards and merging
+// their output would cost more than the round.
 const partitionThreshold = 256
 
 // errStopParallel is the internal sentinel a worker returns when it observed
@@ -169,290 +167,89 @@ func (pr *parRun) closeReady() {
 	}
 }
 
-// collect folds a retiring worker's statistics and auxiliary stores into the
-// root context. Serialized by pr.mu, so the unsynchronized per-worker Stats
-// are only ever touched by one goroutine at a time.
-func (pr *parRun) collect(wk *parWorker) {
+// collect folds a retiring worker's statistics, and those of its shard
+// contexts, into the root context. Serialized by pr.mu, so the
+// unsynchronized per-worker Stats are only ever touched by one goroutine at
+// a time.
+func (pr *parRun) collect(wk *evalContext) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	pr.root.stats.merge(wk.ctx.stats)
-	for _, sc := range wk.shardCtxs {
+	pr.root.stats.merge(wk.stats)
+	for _, sc := range wk.shards {
 		pr.root.stats.merge(sc.stats)
 	}
-	pr.root.extraStores = append(pr.root.extraStores, wk.delta, wk.next)
-	pr.root.extraStores = append(pr.root.extraStores, wk.shardIn...)
-	pr.root.extraStores = append(pr.root.extraStores, wk.outBank[0]...)
-	pr.root.extraStores = append(pr.root.extraStores, wk.outBank[1]...)
 }
 
-// parWorker is one pool worker: a forked evalContext plus the reusable delta
-// stores of the sequential round code and, allocated on first use, the shard
-// machinery of partitioned rounds.
-type parWorker struct {
-	pr          *parRun
-	ctx         *evalContext
-	delta, next *database.Store
-
-	// Shard machinery, lazily allocated by ensureShards: per-shard input
-	// stores, per-shard evalContexts (private pipeline scratch and Stats),
-	// and two banks of per-shard output stores. Banks alternate between
-	// rounds because round R+1 scatters straight from round R's outputs: the
-	// bank being read must not be the bank being refilled.
-	shardIn   []*database.Store
-	shardCtxs []*evalContext
-	outBank   [2][]*database.Store
-	bank      int
-}
-
-func (pr *parRun) newWorker() *parWorker {
-	tab := pr.root.store.Table()
+func (pr *parRun) newWorker() *evalContext {
 	// fork copies the root context struct, so it must not overlap with a
-	// retiring worker's collect mutating the root's stats and store lists.
+	// retiring worker's collect mutating the root's stats.
 	pr.mu.Lock()
-	ctx := pr.root.fork(pr)
-	pr.mu.Unlock()
-	return &parWorker{
-		pr:    pr,
-		ctx:   ctx,
-		delta: database.NewStoreWith(tab),
-		next:  database.NewStoreWith(tab),
-	}
+	defer pr.mu.Unlock()
+	return pr.root.fork(pr)
 }
 
-func (wk *parWorker) ensureShards(k int) {
-	if len(wk.shardIn) == k {
-		return
-	}
-	tab := wk.ctx.store.Table()
-	wk.shardIn = make([]*database.Store, k)
-	wk.shardCtxs = make([]*evalContext, k)
-	wk.outBank[0] = make([]*database.Store, k)
-	wk.outBank[1] = make([]*database.Store, k)
-	for w := 0; w < k; w++ {
-		wk.shardIn[w] = database.NewStoreWith(tab)
-		wk.outBank[0][w] = database.NewStoreWith(tab)
-		wk.outBank[1][w] = database.NewStoreWith(tab)
-		wk.shardCtxs[w] = wk.ctx.fork(wk.pr)
-	}
-}
-
-// runComponent evaluates one component to fixpoint, mirroring the sequential
-// loop of EvaluateCtx (same first pass, same per-component MaxIterations
-// meaning, same delta bookkeeping) with one addition: a recursive round
-// whose delta holds at least partitionThreshold rows is dispatched to
-// partitionedRound instead of running inline.
-func (wk *parWorker) runComponent(ci int) error {
-	pr := wk.pr
-	ctx := wk.ctx
-	comp := &pr.plan.Components[ci]
-	if err := ctx.ctxErr(); err != nil {
-		return err
-	}
-	if pr.stop.Load() {
-		return errStopParallel
-	}
-	if pr.stopSafe(ci) && ctx.stopRequested() {
-		pr.stop.Store(true)
-		return nil
-	}
-	rounds := 1
-	ctx.stats.Iterations++
-	wk.delta.Reset()
-	for _, ri := range comp.Rules {
-		if err := ctx.fireRule(ri, -1, nil, wk.delta, nil); err != nil {
-			return err
+// partitionedRound runs one delta round split across K shards. Shard w
+// fires the round's rule variants with its delta occurrences reading only
+// the delta rows inShard assigns to w, and every other occurrence reading
+// the main relations, frozen for the round, with the round's watermarks; it
+// buffers the derived rows the main relation does not hold. The barrier
+// then inserts the buffers into the main relations in shard order. Each
+// body instantiation fires exactly once, in the shard owning its delta row,
+// so the round does exactly the work of the unpartitioned one; the serial
+// section is only the inserts of rows new to the main relations.
+func (ctx *evalContext) partitionedRound(variants []variantKey) error {
+	k := ctx.par.p
+	if len(ctx.shards) != k {
+		ctx.shards = make([]*evalContext, k)
+		for w := range ctx.shards {
+			sc := ctx.fork(ctx.par)
+			sc.lo, sc.hi = ctx.lo, ctx.hi
+			sc.shardW, sc.shardK = w, k
+			sc.out = make([]rowBuf, len(ctx.rels))
+			ctx.shards[w] = sc
 		}
 	}
-	if err := pr.tick(ctx); err != nil {
-		return err
-	}
-	if !comp.Recursive {
-		return nil
-	}
-
-	// srcs holds the stores containing the current delta: the single
-	// reusable delta store after a sequential round, or the K out shards
-	// after a partitioned one (their union is exactly the set of rows the
-	// barrier added to the main store). sharded tracks which shape it is.
-	srcs := []*database.Store{wk.delta}
-	total := wk.delta.TotalFacts()
-	sharded := false
-	for total > 0 {
-		if err := ctx.ctxErr(); err != nil {
-			return err
-		}
-		if pr.stop.Load() {
-			return errStopParallel
-		}
-		if pr.stopSafe(ci) && ctx.stopRequested() {
-			pr.stop.Store(true)
-			return nil
-		}
-		rounds++
-		ctx.stats.Iterations++
-		if max := ctx.opts.MaxIterations; max > 0 && rounds > max {
-			return fmt.Errorf("%w: more than %d iterations", ErrLimitExceeded, max)
-		}
-		if total >= partitionThreshold {
-			outs, added, err := wk.partitionedRound(comp, srcs)
-			if err != nil {
-				return err
-			}
-			srcs, total, sharded = outs, added, true
-			continue
-		}
-		if sharded {
-			// Falling back to a sequential round: fold the out shards into
-			// the single delta store.
-			wk.delta.Reset()
-			if err := foldInto(wk.delta, srcs); err != nil {
-				return err
-			}
-			sharded = false
-		}
-		wk.next.Reset()
-		for _, ri := range comp.Rules {
-			r := ctx.program.Rules[ri]
-			for _, pos := range comp.DeltaPositions[ri] {
-				if wk.delta.FactCount(r.Body[pos].PredKey()) == 0 {
-					ctx.stats.SkippedRuleEvals++
-					continue
-				}
-				ctx.stats.DeltaRuleEvals++
-				if err := ctx.fireRule(ri, pos, wk.delta, wk.next, nil); err != nil {
-					return err
-				}
-			}
-		}
-		wk.delta, wk.next = wk.next, wk.delta
-		srcs = []*database.Store{wk.delta}
-		total = wk.delta.TotalFacts()
-	}
-	return nil
-}
-
-// partitionedRound runs one hash-partitioned delta round: K concurrent
-// shards scatter + fire into private out stores, then the barrier merges the
-// out shards into the main store. It returns the out shards (the next
-// round's delta sources) and the number of rows the merge added.
-func (wk *parWorker) partitionedRound(comp *depgraph.Component, srcs []*database.Store) ([]*database.Store, int, error) {
-	pr := wk.pr
-	ctx := wk.ctx
-	k := pr.p
-	wk.ensureShards(k)
-	outs := wk.outBank[wk.bank]
-	wk.bank = 1 - wk.bank
-
-	var wg sync.WaitGroup
 	errs := make([]error, k)
-	for w := 0; w < k; w++ {
+	var wg sync.WaitGroup
+	for w, sc := range ctx.shards {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			errs[w] = wk.runShard(comp, srcs, w, k, outs[w])
-		}(w)
+			sc.stats.WorkerRounds++
+			for _, v := range variants {
+				if errs[w] = sc.fireRule(v.rule, v.delta); errs[w] != nil {
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	var err error
 	for _, e := range errs {
-		if e != nil && !errors.Is(e, errStopParallel) {
+		if e != nil && (err == nil || errors.Is(err, errStopParallel)) {
 			err = e
-			break
-		}
-	}
-	if err == nil {
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
-			}
 		}
 	}
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-
-	added := 0
-	for _, out := range outs {
-		for _, name := range out.Names() {
-			rel := out.Existing(name)
-			if rel == nil || rel.Len() == 0 {
-				continue
+	for _, sc := range ctx.shards {
+		for slot := range sc.out {
+			buf := &sc.out[slot]
+			for i := 0; i < buf.n; i++ {
+				rel := ctx.rels[slot]
+				added, err := rel.InsertRow(buf.ids[i*rel.Arity : (i+1)*rel.Arity])
+				if err != nil {
+					return fmt.Errorf("eval: %w", err)
+				}
+				if added {
+					ctx.stats.NewFacts++
+				}
 			}
-			main, merr := ctx.store.Relation(name, rel.Arity)
-			if merr != nil {
-				return nil, 0, fmt.Errorf("eval: %w", merr)
-			}
-			added += main.MergeFrom(rel)
+			buf.ids, buf.n = buf.ids[:0], 0
 		}
 	}
-	ctx.stats.NewFacts += added
-	if err := ctx.checkFactLimit(); err != nil {
-		return nil, 0, err
-	}
-	if err := pr.tick(ctx); err != nil {
-		return nil, 0, err
-	}
-	return outs, added, nil
-}
-
-// runShard is one shard of a partitioned round: gather this shard's slice of
-// the delta from the source stores, then fire every delta rule variant of
-// the component against it, collecting fresh rows (not yet in the frozen
-// main store) into the private out store.
-func (wk *parWorker) runShard(comp *depgraph.Component, srcs []*database.Store, w, k int, out *database.Store) error {
-	sc := wk.shardCtxs[w]
-	in := wk.shardIn[w]
-	in.Reset()
-	out.Reset()
-	for _, src := range srcs {
-		for _, name := range src.Names() {
-			rel := src.Existing(name)
-			if rel == nil || rel.Len() == 0 {
-				continue
-			}
-			dst, err := in.Relation(name, rel.Arity)
-			if err != nil {
-				return fmt.Errorf("eval: %w", err)
-			}
-			rel.ScatterShard(dst, w, k)
-		}
-	}
-	sc.stats.WorkerRounds++
-	for _, ri := range comp.Rules {
-		r := sc.program.Rules[ri]
-		for _, pos := range comp.DeltaPositions[ri] {
-			if in.FactCount(r.Body[pos].PredKey()) == 0 {
-				sc.stats.SkippedRuleEvals++
-				continue
-			}
-			sc.stats.DeltaRuleEvals++
-			if err := sc.fireRuleInto(ri, pos, in, out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// foldInto merges every relation of the source stores into dst (used when a
-// component's delta shrinks below the partition threshold and the next round
-// runs sequentially again).
-func foldInto(dst *database.Store, srcs []*database.Store) error {
-	for _, src := range srcs {
-		for _, name := range src.Names() {
-			rel := src.Existing(name)
-			if rel == nil || rel.Len() == 0 {
-				continue
-			}
-			d, err := dst.Relation(name, rel.Arity)
-			if err != nil {
-				return fmt.Errorf("eval: %w", err)
-			}
-			d.MergeFrom(rel)
-		}
-	}
-	return nil
+	return ctx.checkFactLimit()
 }
 
 // isChain reports whether every component of the plan depends on the one
@@ -510,7 +307,7 @@ func (pp *Prepared) evaluateParallel(c context.Context, edb *database.Store, see
 	work := func() {
 		wk := pr.newWorker()
 		for ci := range pr.ready {
-			err := wk.runComponent(ci)
+			_, err := wk.runComponent(ci)
 			if errors.Is(err, errStopParallel) {
 				err = nil
 			}

@@ -8,6 +8,12 @@
 // No substitution maps are allocated and no terms are materialized while the
 // pipeline runs; terms are only read back out of the store by the caller.
 //
+// A step addresses its relation by predicate slot and reads one row range
+// of it (see rangeKind). A scan walks the range; a probe walks the chain of
+// the relation's index (database.Index) for the probe IDs, whose positions
+// ascend, so it stops at the range's end. Derived head rows go straight
+// into the head relation, past the round's watermark.
+//
 // The pattern programs replicate the semantics of ast.Match exactly,
 // including the affine-arithmetic case (a pattern such as I+1 or (K*2)+2
 // matches an integer by solving for the single unbound variable, which is
@@ -439,11 +445,10 @@ func (p *patNode) matchStruct(rd *intern.Reader, regs []intern.ID, target intern
 type step struct {
 	// lit is the original literal, kept for error messages.
 	lit ast.Atom
-	key string
-	// fromDelta routes the step to the delta store instead of the main one;
-	// the semi-naive scheduler picks the variant compiled for the occurrence
-	// it is driving.
-	fromDelta bool
+	// slot is the literal's predicate slot (see Prepared), rng the rows of
+	// its relation the variant reads.
+	slot int
+	rng  rangeKind
 	// cols are the bound columns (sorted ascending), probed through the
 	// relation's hash index on that column mask; vals produce the probe IDs.
 	cols []int
@@ -463,6 +468,17 @@ func (st *step) matchRow(rd *intern.Reader, regs []intern.ID, row []intern.ID) b
 	return true
 }
 
+// boundMatch verifies a candidate from an index chain against the probe
+// IDs: projections with colliding hashes share a chain.
+func (st *step) boundMatch(row []intern.ID, ids []intern.ID) bool {
+	for k, col := range st.cols {
+		if row[col] != ids[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // pipeline is one fully compiled rule variant: the ordered body steps and
 // the head constructor. A pipeline is immutable once compiled — all
 // run-time state lives in a pipeScratch — so one compiled instance is
@@ -472,7 +488,7 @@ type pipeline struct {
 	rule    ast.Rule
 	steps   []step
 
-	headKey   string
+	headSlot  int
 	headArity int
 	head      []valExpr
 	// headOK is false when the head contains a variable not bound by the
@@ -486,11 +502,26 @@ type pipeline struct {
 }
 
 // pipeScratch is the per-evaluation mutable state of one pipeline: the
-// register file, the probe buffer of each step, and the head-row buffer.
+// register file, the probe buffer and resolved index of each step, the
+// head-row buffer, and the target of the running call.
 type pipeScratch struct {
 	regs    []intern.ID
 	headRow []intern.ID
 	probes  [][]intern.ID
+	indexes []*database.Index
+	// head is the relation of the rule head. out is nil, except in a shard
+	// of a partitioned round: the rows head holds are dropped there, and
+	// the rest are appended to out.
+	head *database.Relation
+	out  *rowBuf
+}
+
+// rowBuf collects the rows a shard of a partitioned round derives for one
+// relation, n rows of the relation's arity back to back in ids. It may
+// hold a row twice; the round barrier inserts the rows into the relation.
+type rowBuf struct {
+	ids []intern.ID
+	n   int
 }
 
 // newScratch allocates scratch buffers sized for the pipeline.
@@ -499,6 +530,7 @@ func (pl *pipeline) newScratch() *pipeScratch {
 		regs:    make([]intern.ID, pl.nregs),
 		headRow: make([]intern.ID, pl.headArity),
 		probes:  make([][]intern.ID, len(pl.steps)),
+		indexes: make([]*database.Index, len(pl.steps)),
 	}
 	for i := range pl.steps {
 		sc.probes[i] = make([]intern.ID, len(pl.steps[i].cols))
@@ -506,88 +538,121 @@ func (pl *pipeline) newScratch() *pipeScratch {
 	return sc
 }
 
-// run executes the pipeline against the context's store (and the delta store
-// for the step compiled as the delta occurrence), invoking emit with the
-// head ID row for every successful body instantiation. The emitted slice is
-// reused across firings; emit must copy it if it retains it (Relation.
-// InsertRow does).
-func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, delta *database.Store, emit func(row []intern.ID) error) error {
+// run executes the pipeline against the context's relations, each step
+// reading the rows its range kind selects, and inserts the head row of every
+// successful body instantiation into head, or into out (see pipeScratch).
+func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, head *database.Relation, out *rowBuf) error {
+	sc.head, sc.out = head, out
+	return pl.exec(ctx, sc, 0)
+}
+
+// exec runs step i and, for every row it matches, the steps after it.
+func (pl *pipeline) exec(ctx *evalContext, sc *pipeScratch, i int) error {
+	if i == len(pl.steps) {
+		return pl.fire(ctx, sc)
+	}
+	st := &pl.steps[i]
+	rel := ctx.rels[st.slot]
+	if rel == nil {
+		return nil
+	}
 	rd := &ctx.reader
 	regs := sc.regs
-	// Resolve the step relations once per run: the set of relations cannot
-	// change while the pipeline runs (derived relations are pre-created and
-	// delta rounds write to the next round's store).
-	rels := make([]*database.Relation, len(pl.steps))
-	for i := range pl.steps {
-		st := &pl.steps[i]
-		if st.fromDelta {
-			rels[i] = delta.Existing(st.key)
-		} else {
-			rels[i] = ctx.store.Existing(st.key)
-		}
-	}
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(pl.steps) {
-			return pl.fire(ctx, sc, rd, emit)
-		}
-		st := &pl.steps[i]
-		rel := rels[i]
-		if rel == nil {
-			return nil
-		}
-		if len(st.cols) == 0 {
+	lo, hi := ctx.bounds(st.rng, st.slot, rel)
+	countOps := ctx.countsOps(st.rng)
+	if len(st.cols) == 0 {
+		if countOps {
 			ctx.stats.OpScans++
-			n := rel.Len() // snapshot: rows inserted during the scan belong to the next pass
-			for pos := 0; pos < n; pos++ {
-				ctx.stats.JoinProbes++
-				if st.matchRow(rd, regs, rel.Row(pos)) {
-					if err := rec(i + 1); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
 		}
-		// Evaluate every probe column before acting on a miss: the
-		// term-space evaluator checks all ground arguments for the
-		// uninterpreted-arithmetic error before it looks anything up, so an
-		// unfindable value in an earlier column must not mask the error of a
-		// later one.
-		miss := false
-		probeIDs := sc.probes[i]
-		for k := range st.cols {
-			id, ok, arithErr := st.vals[k].probe(rd, regs)
-			if arithErr {
-				return fmt.Errorf("eval: argument %d of %s contains uninterpreted arithmetic after grounding", st.cols[k], st.lit)
-			}
-			if !ok {
-				miss = true
+		for pos := lo; pos < hi; pos++ {
+			if !ctx.inShard(st.rng, pos) {
 				continue
 			}
-			probeIDs[k] = id
-		}
-		if miss {
-			return nil
-		}
-		ctx.stats.OpProbes++
-		positions := rel.LookupIDs(st.cols, probeIDs)
-		for _, pos := range positions {
 			ctx.stats.JoinProbes++
 			if st.matchRow(rd, regs, rel.Row(pos)) {
-				if err := rec(i + 1); err != nil {
+				if err := pl.exec(ctx, sc, i+1); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
-	return rec(0)
+	// Evaluate every probe column before acting on a miss: the term-space
+	// evaluator checks all ground arguments for the uninterpreted-arithmetic
+	// error before it looks anything up, so an unfindable value in an
+	// earlier column must not mask the error of a later one.
+	miss := false
+	probeIDs := sc.probes[i]
+	for k := range st.cols {
+		id, ok, arithErr := st.vals[k].probe(rd, regs)
+		if arithErr {
+			return fmt.Errorf("eval: argument %d of %s contains uninterpreted arithmetic after grounding", st.cols[k], st.lit)
+		}
+		if !ok {
+			miss = true
+			continue
+		}
+		probeIDs[k] = id
+	}
+	if miss {
+		return nil
+	}
+	if countOps {
+		ctx.stats.OpProbes++
+		ctx.stats.IndexProbes++
+	}
+	idx := sc.indexes[i]
+	if idx == nil {
+		if idx = rel.Index(st.cols); idx == nil {
+			// A column beyond the index mask width: filter by scan.
+			return pl.scanBound(ctx, sc, i, rel, lo, hi)
+		}
+		sc.indexes[i] = idx
+	}
+	// Chain positions ascend, so the walk stops at the range's end.
+	for pos := idx.First(probeIDs); pos >= 0 && pos < hi; pos = idx.Next(pos) {
+		if pos < lo {
+			continue
+		}
+		row := rel.Row(pos)
+		if !st.boundMatch(row, probeIDs) || !ctx.inShard(st.rng, pos) {
+			continue
+		}
+		ctx.stats.IndexHits++
+		ctx.stats.JoinProbes++
+		if st.matchRow(rd, regs, row) {
+			if err := pl.exec(ctx, sc, i+1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// scanBound is step i's probe done by a scan of rows [lo, hi), for a
+// relation too wide to index the step's bound columns.
+func (pl *pipeline) scanBound(ctx *evalContext, sc *pipeScratch, i int, rel *database.Relation, lo, hi int) error {
+	st := &pl.steps[i]
+	for pos := lo; pos < hi; pos++ {
+		row := rel.Row(pos)
+		if !st.boundMatch(row, sc.probes[i]) || !ctx.inShard(st.rng, pos) {
+			continue
+		}
+		ctx.stats.IndexHits++
+		ctx.stats.JoinProbes++
+		if st.matchRow(&ctx.reader, sc.regs, row) {
+			if err := pl.exec(ctx, sc, i+1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // fire records the successful body instantiation, builds the head row and
-// emits it.
-func (pl *pipeline) fire(ctx *evalContext, sc *pipeScratch, rd *intern.Reader, emit func(row []intern.ID) error) error {
+// inserts it.
+func (pl *pipeline) fire(ctx *evalContext, sc *pipeScratch) error {
+	rd := &ctx.reader
 	if !pl.headOK {
 		return fmt.Errorf("%w: rule %d (%s) produced %s", ErrNonGroundFact, pl.ruleIdx, pl.rule, pl.materializeHead(sc, rd))
 	}
@@ -601,7 +666,21 @@ func (pl *pipeline) fire(ctx *evalContext, sc *pipeScratch, rd *intern.Reader, e
 	for i := range pl.head {
 		sc.headRow[i] = pl.head[i].build(rd, sc.regs)
 	}
-	return emit(sc.headRow)
+	if sc.out != nil {
+		if !sc.head.ContainsRow(sc.headRow) {
+			sc.out.ids = append(sc.out.ids, sc.headRow...)
+			sc.out.n++
+		}
+		return nil
+	}
+	added, err := sc.head.InsertRow(sc.headRow)
+	if err != nil {
+		return fmt.Errorf("eval: %w", err)
+	}
+	if added {
+		ctx.stats.NewFacts++
+	}
+	return ctx.checkFactLimit()
 }
 
 // materializeHead rebuilds the instantiated head atom for the non-ground

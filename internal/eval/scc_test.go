@@ -238,8 +238,8 @@ func TestMaxIterationsIsPerComponent(t *testing.T) {
 	}
 }
 
-// TestIndexStatsIncludeDeltaProbes checks the probe counters fold in the
-// lookups made against the per-round delta stores, not just the main store.
+// TestIndexStatsIncludeDeltaProbes checks the probe counters include the
+// lookups of the delta rounds, not just those of the first pass.
 func TestIndexStatsIncludeDeltaProbes(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		anc(X, Y) :- par(X, Y).

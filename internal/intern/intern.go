@@ -5,8 +5,8 @@
 //
 // A Table is append-only: a term, once interned, keeps its ID for the
 // table's lifetime. IDs are comparable only within one table — since PR 2
-// every database.Store owns its own table (shared by its clones and the
-// evaluator's delta stores), so IDs must never be moved between relations
+// every database.Store owns its own table (shared by its clones, overlays
+// and the maintenance layer's side stores), so IDs must never be moved between relations
 // of unrelated stores, or between a store relation and a standalone
 // relation using the package-level default table (Global). Access is
 // guarded by a read-write mutex; the steady-state path (re-interning an
